@@ -249,52 +249,164 @@ def _mix_channels_grad_w(g, x):
     return np.matmul(gr, xr.transpose(0, 2, 1)).sum(axis=0)
 
 
-def conv_time_dilated_causal(x, kernel, dilation: int) -> Variable:
-    """Dilated causal convolution along the trailing time axis.
+def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
+    """Causal convolution along the trailing time axis at explicit tap lags.
 
-    x: [B, C_in, N, W], kernel: [C_out, C_in, K]. The input is left-padded
-    with (K-1)*dilation zeros so output length equals W and out[..., t]
-    depends only on in[..., t'] with t' <= t.
+    x: [B, C_in, N, W], kernel: [C_out, C_in, L], lags: L non-negative
+    ints, bias: [C_out] or None. out[..., t] = sum_l kernel[:, :, l] applied
+    to x[..., t - lags[l]] (+ bias), reading zeros before t = 0, so output
+    length equals W and out[..., t] depends only on in[..., t'] with t' <= t.
     """
     x, kernel = as_variable(x), as_variable(kernel)
     if x.value.ndim != 4 or kernel.value.ndim != 3:
-        raise ShapeMismatchError("expected x [B,C,N,W] and kernel [Co,Ci,K]")
-    if dilation < 1 or kernel.value.shape[2] < 1:
-        raise ValueError("kernel size and dilation must be >= 1")
+        raise ShapeMismatchError("expected x [B,C,N,W] and kernel [Co,Ci,L]")
+    lags = list(lags)
+    if not lags or min(lags) < 0:
+        raise ValueError("a causal convolution needs at least one tap and lags >= 0")
+    if len(lags) != kernel.value.shape[2]:
+        raise ShapeMismatchError(
+            f"kernel has {kernel.value.shape[2]} taps but {len(lags)} lags were given"
+        )
     if x.value.shape[1] != kernel.value.shape[1]:
         raise ShapeMismatchError(
             f"channel mismatch: x has {x.value.shape[1]}, kernel wants {kernel.value.shape[1]}"
         )
-    K = kernel.value.shape[2]
-    W = x.value.shape[3]
-    pad = (K - 1) * dilation
+    B, Ci, N, W = x.value.shape
+    Co, _, L = kernel.value.shape
+    if bias is not None:
+        bias = as_variable(bias)
+        if bias.value.shape != (Co,):
+            raise ShapeMismatchError(f"bias shape {bias.value.shape} != ({Co},)")
+    pad = max(lags)
     if pad >= W:
         warnings.warn(
-            f"receptive field (K-1)*d = {pad} >= window {W}: earliest taps read only padding",
+            f"receptive field: largest lag {pad} >= window {W}: earliest taps read only padding",
             RuntimeWarning,
             stacklevel=2,
         )
-    xp = np.pad(x.value, ((0, 0), (0, 0), (0, 0), (pad, 0)))
-    B, Ci, N, _ = x.value.shape
-    Co = kernel.value.shape[0]
-    # gather the K dilated taps into one contiguous [B, K*Ci, N, W] buffer so
-    # the whole convolution is a single channel-mixing matmul per call
-    cols = np.empty((B, K * Ci, N, W))
-    for k in range(K):
-        cols[:, k * Ci : (k + 1) * Ci] = xp[..., k * dilation : k * dilation + W]
-    w2 = kernel.value.transpose(0, 2, 1).reshape(Co, K * Ci)
+    # gather the L lagged copies of x into one contiguous [B, L*Ci, N, W]
+    # buffer so the whole convolution is a single channel-mixing matmul
+    cols = np.empty((B, L * Ci, N, W))
+    keeps = [max(W - lag, 0) for lag in lags]  # input steps each tap reads
+    for l, keep in enumerate(keeps):
+        tap = cols[:, l * Ci : (l + 1) * Ci]
+        tap[..., : W - keep] = 0.0
+        tap[..., W - keep :] = x.value[..., :keep]
+    w2 = kernel.value.transpose(0, 2, 1).reshape(Co, L * Ci)
     out_val = _mix_channels(w2, cols)
+    if bias is not None:
+        out_val += bias.value[None, :, None, None]
 
     def backward_fn(g):
         gw2 = _mix_channels_grad_w(g, cols)
-        kernel.accumulate_grad(gw2.reshape(Co, K, Ci).transpose(0, 2, 1))
-        gcols = _mix_channels(np.ascontiguousarray(w2.T), g)
-        gxp = np.zeros_like(xp)
-        for k in range(K):
-            gxp[..., k * dilation : k * dilation + W] += gcols[:, k * Ci : (k + 1) * Ci]
-        x.accumulate_grad(gxp[..., pad:] if pad else gxp)
+        kernel.accumulate_grad(gw2.reshape(Co, L, Ci).transpose(0, 2, 1))
+        if bias is not None:
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+        # one GEMM per tap, added at its lag: no [B, L*Ci, N, W] buffer
+        gx = np.zeros_like(x.value)
+        for l, keep in enumerate(keeps):
+            if keep:
+                gx[..., :keep] += _mix_channels(kernel.value[:, :, l].T, g)[..., W - keep :]
+        x.accumulate_grad(gx)
 
-    return Variable(out_val, (x, kernel), backward_fn)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return Variable(out_val, parents, backward_fn)
+
+
+def dilated_lags(kernel_size: int, dilation: int) -> list:
+    """Lag read by each tap k of a dilated causal kernel: (K-1-k)*dilation."""
+    return [(kernel_size - 1 - k) * dilation for k in range(kernel_size)]
+
+
+def conv_time_dilated_causal(x, kernel, dilation: int) -> Variable:
+    """Dilated causal convolution along the trailing time axis.
+
+    x: [B, C_in, N, W], kernel: [C_out, C_in, K]. Tap k reads lag
+    (K-1-k)*dilation, as if the input were left-padded with (K-1)*dilation
+    zeros, so output length equals W and out[..., t] depends only on
+    in[..., t'] with t' <= t.
+    """
+    kernel = as_variable(kernel)
+    if dilation < 1:
+        raise ValueError("dilation must be >= 1")
+    K = kernel.value.shape[2] if kernel.value.ndim == 3 else 0
+    return conv_time_causal(x, kernel, dilated_lags(K, dilation))
+
+
+def compose_causal_kernel(units, lags):
+    """Kernel and bias of the one causal convolution that equals S stacked
+    branch -> concat -> 1x1-reduce units.
+
+    units: S triples (reduce_w [Co, nb*Cb], reduce_b [Co], branches), where
+    branches lists nb pairs (kernel [Cb, Ci, K], dilation). Branches and
+    reduce are linear, so unit s is the convolution over ``lags`` whose rows
+    s*Co:(s+1)*Co hold, at lag (K-1-k)*d, the sum over branches i of
+    reduce_w[:, i*Cb:(i+1)*Cb] @ kernel_i[:, :, k]. Returns the kernel
+    [S*Co, Ci, len(lags)] and the bias [S*Co] (the stacked reduce biases).
+    """
+    index = {lag: j for j, lag in enumerate(lags)}
+    reduces = [as_variable(w) for w, _, _ in units]
+    biases = [as_variable(b) for _, b, _ in units]
+    Co = reduces[0].value.shape[0]
+    plan = []  # (unit index, reduce columns, branch kernel, lag indices)
+    for s, (_, _, branches) in enumerate(units):
+        start = 0
+        for kern, d in branches:
+            kern = as_variable(kern)
+            Cb, Ci, K = kern.value.shape
+            taps = [index[lag] for lag in dilated_lags(K, d)]
+            plan.append((s, slice(start, start + Cb), kern, taps))
+            start += Cb
+        if reduces[s].value.shape != (Co, start) or biases[s].value.shape != (Co,):
+            raise ShapeMismatchError(
+                f"unit {s}: reduce {reduces[s].value.shape} and bias {biases[s].value.shape} "
+                f"do not map {start} branch channels to {Co}"
+            )
+    rows = [slice(s * Co, (s + 1) * Co) for s in range(len(reduces))]
+    kernel_val = np.zeros((len(reduces) * Co, Ci, len(index)))
+    for s, cols, kern, taps in plan:
+        Cb, _, K = kern.value.shape
+        mixed = reduces[s].value[:, cols] @ kern.value.reshape(Cb, Ci * K)
+        kernel_val[rows[s], :, taps] += mixed.reshape(Co, Ci, K)
+
+    def kernel_backward(g):
+        g_reduce = [np.empty_like(r.value) for r in reduces]
+        for s, cols, kern, taps in plan:
+            Cb, _, K = kern.value.shape
+            gs = g[rows[s]][:, :, taps].reshape(Co, Ci * K)
+            g_reduce[s][:, cols] = gs @ kern.value.reshape(Cb, Ci * K).T
+            kern.accumulate_grad((reduces[s].value[:, cols].T @ gs).reshape(Cb, Ci, K))
+        for r, gr in zip(reduces, g_reduce):
+            r.accumulate_grad(gr)
+
+    def bias_backward(g):
+        for b, rs in zip(biases, rows):
+            b.accumulate_grad(g[rs])
+
+    parents = tuple(reduces) + tuple(kern for _, _, kern, _ in plan)
+    kernel = Variable(kernel_val, parents, kernel_backward)
+    bias = Variable(np.concatenate([b.value for b in biases]), tuple(biases), bias_backward)
+    return kernel, bias
+
+
+def gated_tanh_sigmoid(z) -> Variable:
+    """WaveNet gate over a stacked pair: tanh(z[:, :C]) * sigmoid(z[:, C:])
+    for z [B, 2C, ...], giving [B, C, ...]."""
+    z = as_variable(z)
+    if z.value.ndim < 2 or z.value.shape[1] % 2:
+        raise ShapeMismatchError(f"gate input needs an even channel axis, got {z.value.shape}")
+    C = z.value.shape[1] // 2
+    filt = np.tanh(z.value[:, :C])
+    gate = 1.0 / (1.0 + np.exp(-z.value[:, C:]))
+    out_val = filt * gate
+
+    def backward_fn(g):
+        gz = np.empty_like(z.value)
+        gz[:, :C] = g * gate * (1.0 - filt * filt)
+        gz[:, C:] = g * filt * gate * (1.0 - gate)
+        z.accumulate_grad(gz)
+
+    return Variable(out_val, (z,), backward_fn)
 
 
 def conv_1x1(x, weight, bias) -> Variable:

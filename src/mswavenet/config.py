@@ -143,6 +143,10 @@ class RunConfig:
             errors.append("model.horizon must be >= 1")
         if v["model.window"] < 1:
             errors.append("model.window must be >= 1")
+        for key in ("model.num_blocks", "model.residual_channels", "model.skip_channels",
+                    "model.embedding_width"):
+            if v[key] < 1:
+                errors.append(f"{key} must be >= 1")
         if v["model.variant"] not in ("single_scale", "multi_scale"):
             errors.append(f"model.variant {v['model.variant']!r} unknown")
         if v["synth.graph"] not in ("cycle", "chain"):

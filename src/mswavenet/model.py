@@ -5,7 +5,8 @@ blocks (gated TCN, then graph convolution, wrapped in a residual add, with
 a per-block 1x1 skip tap) -> ReLU/1x1-conv head -> flatten -> dense, giving
 one forecast per target node. The single-scale variant uses one dilated
 branch per block; the multi-scale variant concatenates several kernel
-size / dilation branches before a 1x1 reduction.
+size / dilation branches before a 1x1 reduction. Both gate units of a
+block run as one causal convolution composed from their parameters.
 """
 
 from __future__ import annotations
@@ -17,13 +18,10 @@ import numpy as np
 from . import autodiff as ad
 from . import graph
 from .autodiff import Variable
+from .config import ConfigError
 
 SINGLE_SCALE = "single_scale"
 MULTI_SCALE = "multi_scale"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def default_branch_specs(variant: str, num_blocks: int):
@@ -110,12 +108,32 @@ def _uniform_fan_in(rng, shape, fan_in):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _union_lags(branches):
+    """Sorted tap lags (K-1-k)*d read by a set of (K, d) causal branches."""
+    return tuple(sorted({lag for k, d in branches for lag in ad.dilated_lags(k, d)}))
+
+
+def _tcn_forward(x: Variable, units) -> Variable:
+    """Outputs of TCN subunits that share one branch layout, stacked on the
+    channel axis, computed as one causal convolution over the union of their
+    tap lags. Its kernel is composed from the branch and reduce parameters on
+    every call, so gradients reach those parameters unchanged."""
+    lags = units[0].lags
+    kernel, bias = ad.compose_causal_kernel([u.composition() for u in units], lags)
+    return ad.conv_time_causal(x, kernel, lags, bias)
+
+
 class _TcnSubunit:
-    """Parallel dilated causal branches, concatenated and 1x1-reduced."""
+    """Parallel dilated causal branches, concatenated and 1x1-reduced.
+
+    The chain is linear, so it runs as a single causal convolution (see
+    ``_tcn_forward``); the parameters stay those of the branches and reduce.
+    """
 
     def __init__(self, prefix, channels, branches, rng):
         self.prefix = prefix
         self.branches = list(branches)
+        self.lags = _union_lags(self.branches)
         self.kernels = []
         for i, (k, _d) in enumerate(self.branches):
             kern = Variable(_uniform_fan_in(rng, (channels, channels, k), channels * k))
@@ -124,13 +142,13 @@ class _TcnSubunit:
         self.reduce_w = Variable(_uniform_fan_in(rng, (channels, concat_width), concat_width))
         self.reduce_b = Variable(np.zeros(channels))
 
+    def composition(self):
+        """(reduce weight, reduce bias, [(branch kernel, dilation), ...])."""
+        kernels = [(kern, d) for (_name, kern), (_k, d) in zip(self.kernels, self.branches)]
+        return self.reduce_w, self.reduce_b, kernels
+
     def forward(self, x: Variable) -> Variable:
-        outs = [
-            ad.conv_time_dilated_causal(x, kern, d)
-            for (name, kern), (_k, d) in zip(self.kernels, self.branches)
-        ]
-        cat = outs[0] if len(outs) == 1 else ad.concat_channels(outs)
-        return ad.conv_1x1(cat, self.reduce_w, self.reduce_b)
+        return _tcn_forward(x, [self])
 
     def parameters(self):
         return self.kernels + [
@@ -152,9 +170,13 @@ class _StBlock:
         self.gcn_theta = Variable(_uniform_fan_in(rng, (c, c), c))
         self.gcn_bias = Variable(np.zeros(c))
 
-    def forward(self, x: Variable, adj: graph.AdjacencyMatrix):
-        gated = ad.multiply(ad.tanh(self.tcn_a.forward(x)), ad.sigmoid(self.tcn_b.forward(x)))
+    def forward(self, x: Variable, adj: graph.AdjacencyMatrix, gcn: bool = True):
+        """(block output, skip tap); the block output is None when gcn is
+        False, for a final block whose output nothing reads."""
+        gated = ad.gated_tanh_sigmoid(_tcn_forward(x, [self.tcn_a, self.tcn_b]))
         skip_tap = ad.conv_1x1(gated, self.skip_w, self.skip_b)
+        if not gcn:
+            return None, skip_tap
         block_out = ad.add(graph.gcn_forward(gated, adj, self.gcn_theta, self.gcn_bias), x)
         return block_out, skip_tap
 
@@ -213,12 +235,7 @@ class Network:
             raise ad.ShapeMismatchError(
                 f"input shape {x.value.shape} does not match config [B,{expect[0]},{expect[1]},{expect[2]}]"
             )
-        adj = self.adjacency()
-        h = ad.conv_1x1(x, self.input_w, self.input_b)
-        skip_sum = None
-        for block in self.blocks:
-            h, tap = block.forward(h, adj)
-            skip_sum = tap if skip_sum is None else ad.add(skip_sum, tap)
+        _, skip_sum = self._run_blocks(x, final_gcn=False)
         out = ad.conv_1x1(ad.relu(skip_sum), self.head1_w, self.head1_b)
         out = ad.conv_1x1(ad.relu(out), self.head2_w, self.head2_b)
         return ad.dense(ad.flatten(out), self.dense_w, self.dense_b)
@@ -227,12 +244,21 @@ class Network:
         """Block-stack output [B, C, N, W] before the head; used by the
         causality / receptive-field probes (the flatten+dense head mixes
         every timestep by construction)."""
-        x = ad.as_variable(x)
+        h, _ = self._run_blocks(ad.as_variable(x), final_gcn=True)
+        return h
+
+    def _run_blocks(self, x: Variable, final_gcn: bool):
+        """(stack output, summed skip taps). Only the skip taps feed the
+        head, so the final block's graph convolution runs only when
+        final_gcn asks for the stack output; otherwise that output is None."""
         adj = self.adjacency()
         h = ad.conv_1x1(x, self.input_w, self.input_b)
-        for block in self.blocks:
-            h, _tap = block.forward(h, adj)
-        return h
+        skip_sum = None
+        last = len(self.blocks) - 1
+        for i, block in enumerate(self.blocks):
+            h, tap = block.forward(h, adj, gcn=final_gcn or i < last)
+            skip_sum = tap if skip_sum is None else ad.add(skip_sum, tap)
+        return h, skip_sum
 
     def parameters(self):
         """Ordered (name, Variable) pairs covering every learnable tensor."""

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,8 +68,18 @@ class Checkpoint:
         ).encode("utf-8")
         chunks.append(struct.pack("<I", len(trailer)))
         chunks.append(trailer)
-        with open(path, "wb") as fh:
-            fh.write(b"".join(chunks))
+        # write beside the target, then rename over it: a save that fails
+        # midway leaves the previous checkpoint (the best-model reload
+        # source during training) intact
+        path = os.fspath(path)
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(b"".join(chunks))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
@@ -241,7 +252,7 @@ def train(
     if len(train_ds) == 0:
         raise TrainingError("training split is empty")
     optimizer = AdamOptimizer(net.parameters(), lr=lr)
-    train_targets = _normalized_targets(train_ds, scaler)
+    norm_train_ds = replace(train_ds, targets=_normalized_targets(train_ds, scaler))
     val_targets = _normalized_targets(val_ds, scaler) if len(val_ds) else None
 
     def make_checkpoint(epoch, val_loss):
@@ -272,12 +283,9 @@ def train(
     for epoch in range(1, epochs + 1):
         epoch_sq = 0.0
         epoch_n = 0
-        for xb, tb in batch_iter(train_ds, batch_size, shuffle=True, seed=seed + epoch):
-            tb_norm = np.empty_like(tb)
-            for j, node in enumerate(train_ds.target_nodes):
-                tb_norm[:, j] = scaler.normalize_wind_speed(tb[:, j], node)
+        for xb, tb in batch_iter(norm_train_ds, batch_size, shuffle=True, seed=seed + epoch):
             net.zero_grad()
-            loss = ad.mse_loss(net.forward(xb), tb_norm)
+            loss = ad.mse_loss(net.forward(xb), tb)
             if not np.isfinite(loss.value):
                 raise TrainingError(
                     f"training diverged at epoch {epoch}: loss {loss.value}"

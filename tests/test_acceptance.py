@@ -78,6 +78,36 @@ def test_criterion_1_gradient_correctness():
             worst,
             _grad_check(lambda: ad.total(ad.conv_time_dilated_causal(x, kern, d)), [x, kern]),
         )
+        # causal convolution at explicit lags, with bias
+        lags = sorted(rng.choice(6, size=int(rng.integers(1, 4)), replace=False).tolist())
+        xl = Variable(rng.normal(size=(1, 2, 2, 8)))
+        kl = Variable(rng.normal(size=(3, 2, len(lags))))
+        bl = Variable(rng.normal(size=3))
+        worst = max(
+            worst,
+            _grad_check(lambda: ad.total(ad.conv_time_causal(xl, kl, lags, bl)), [xl, kl, bl]),
+        )
+        # kernel composition of two branch -> concat -> reduce units
+        branches = [(2, 1), (3, 2)]
+        union = sorted({(kk - 1 - j) * dd for kk, dd in branches for j in range(kk)})
+        units = [
+            (
+                Variable(rng.normal(size=(2, 4))),
+                Variable(rng.normal(size=2)),
+                [(Variable(rng.normal(size=(2, 2, kk))), dd) for kk, dd in branches],
+            )
+            for _ in range(2)
+        ]
+        probe = rng.normal(size=(4, 2, len(union)))
+
+        def compose_loss():
+            kc, bc = ad.compose_causal_kernel(units, union)
+            return ad.add(
+                ad.total(ad.multiply(kc, Variable(probe, requires_grad=False))), ad.total(bc)
+            )
+
+        leaves = [v for r, b, brs in units for v in (r, b, *(k for k, _ in brs))]
+        worst = max(worst, _grad_check(compose_loss, leaves))
         # 1x1 convolution
         x1 = Variable(rng.normal(size=(2, 3, 2, 4)))
         w1 = Variable(rng.normal(size=(2, 3)))
@@ -91,6 +121,14 @@ def test_criterion_1_gradient_correctness():
         worst = max(
             worst,
             _grad_check(lambda: ad.total(ad.multiply(ad.tanh(a), ad.sigmoid(b))), [a, b]),
+        )
+        # gated unit as one op over a stacked (filter, gate) pair, with a
+        # non-uniform upstream gradient
+        z = Variable(rng.normal(size=(1, 4, 2, 3)))
+        wz = Variable(rng.normal(size=(1, 2, 2, 3)), requires_grad=False)
+        worst = max(
+            worst,
+            _grad_check(lambda: ad.total(ad.multiply(ad.gated_tanh_sigmoid(z), wz)), [z]),
         )
         # graph convolution through the softmax-embedding adjacency
         emb = NodeEmbeddings(3, 2, rng)

@@ -167,6 +167,12 @@ class TestConfigHandling:
         assert rc == 1
         assert "unknown key" in capfd.readouterr().err
 
+    @pytest.mark.parametrize("key", ["model.num_blocks", "model.residual_channels"])
+    def test_zero_model_size_exits_one(self, workdir, capfd, key):
+        rc = main(workdir["argv"] + ["--set", f"{key}=0", "train"])
+        assert rc == 1
+        assert key in capfd.readouterr().err
+
     def test_all_file_errors_reported_at_once(self, tmp_path):
         bad = tmp_path / "bad.conf"
         bad.write_text("bogus.key = 1\ntrain.lr = abc\nno equals sign\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mswavenet import autodiff as ad
+from mswavenet import graph
 from mswavenet.autodiff import ShapeMismatchError, Variable
 from mswavenet.model import (
     MULTI_SCALE,
@@ -45,6 +46,11 @@ class TestModelConfig:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             default_branch_specs("triple_scale", 4)
+
+    def test_one_config_error_type(self):
+        from mswavenet import config
+
+        assert ConfigError is config.ConfigError
 
     def test_single_scale_rejects_multiple_branches(self):
         with pytest.raises(ConfigError):
@@ -228,3 +234,61 @@ class TestStateDict:
         state["input_proj.bias"] = np.zeros(99)
         with pytest.raises(ShapeMismatchError):
             net.load_state_dict(state)
+
+
+def _reference_tcn(unit, x):
+    """A TCN subunit as separate ops: branches -> concat -> 1x1 reduce."""
+    outs = [
+        ad.conv_time_dilated_causal(x, kern, d)
+        for (_name, kern), (_k, d) in zip(unit.kernels, unit.branches)
+    ]
+    cat = outs[0] if len(outs) == 1 else ad.concat_channels(outs)
+    return ad.conv_1x1(cat, unit.reduce_w, unit.reduce_b)
+
+
+def _reference_forward(net, x):
+    """Network.forward built op by op, without the composed gate-pair conv."""
+    adj = net.adjacency()
+    h = ad.conv_1x1(Variable(x, requires_grad=False), net.input_w, net.input_b)
+    skip_sum = None
+    for block in net.blocks:
+        gated = ad.multiply(
+            ad.tanh(_reference_tcn(block.tcn_a, h)), ad.sigmoid(_reference_tcn(block.tcn_b, h))
+        )
+        tap = ad.conv_1x1(gated, block.skip_w, block.skip_b)
+        h = ad.add(graph.gcn_forward(gated, adj, block.gcn_theta, block.gcn_bias), h)
+        skip_sum = tap if skip_sum is None else ad.add(skip_sum, tap)
+    out = ad.conv_1x1(ad.relu(skip_sum), net.head1_w, net.head1_b)
+    out = ad.conv_1x1(ad.relu(out), net.head2_w, net.head2_b)
+    return ad.dense(ad.flatten(out), net.dense_w, net.dense_b)
+
+
+CRITERION_5_SIZE = dict(
+    residual_channels=16, skip_channels=32, head_channels=(32, 16), window=16,
+    horizon=1, num_nodes=5, target_nodes=[0, 1, 2, 3, 4],
+)
+
+
+class TestComposedGateEquivalence:
+    @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
+    @pytest.mark.parametrize("size", [CRITERION_5_SIZE, {}], ids=["criterion5", "paper"])
+    def test_forward_and_gradients_match_separate_ops(self, variant, size, rng):
+        net = Network(ModelConfig(variant=variant, **size), seed=3)
+        for _, p in net.parameters():  # biases start at zero; make every one count
+            p.value = p.value + 0.1 * rng.normal(size=p.value.shape)
+        cfg = net.config
+        x = rng.normal(size=(3, cfg.num_features, cfg.num_nodes, cfg.window))
+        target = rng.normal(size=(3, len(cfg.target_nodes)))
+        results = []
+        for forward in (net.forward, lambda v: _reference_forward(net, v)):
+            net.zero_grad()
+            pred = forward(x)
+            ad.backward(ad.mse_loss(pred, target))
+            results.append((pred.value, {n: p.grad for n, p in net.parameters()}))
+        (fused, fused_grads), (ref, ref_grads) = results
+        assert np.abs(fused - ref).max() <= 1e-12
+        for name, g in ref_grads.items():
+            if g is None:
+                assert fused_grads[name] is None, name
+            else:
+                assert np.abs(fused_grads[name] - g).max() <= 1e-12, name

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mswavenet import autodiff as ad
+from mswavenet import training
 from mswavenet.autodiff import Variable
 from mswavenet.data import WIND_SPEED, MinMaxScaler, make_windows
 from mswavenet.model import SINGLE_SCALE, ModelConfig, Network
@@ -181,6 +182,33 @@ class TestCheckpoint:
         ck.save(p1)
         Checkpoint.load(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "best.bin"
+        self.sample(rng).save(path)
+        before = path.read_bytes()
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(training, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            self.sample(rng).save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        Checkpoint.load(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["best.bin"]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"
