@@ -20,15 +20,6 @@ class ShapeMismatchError(ValueError):
     """Raised when operand shapes are incompatible for an operation."""
 
 
-_next_id = 0
-
-
-def _fresh_id() -> int:
-    global _next_id
-    _next_id += 1
-    return _next_id
-
-
 class Variable:
     """A node in the computation graph.
 
@@ -36,7 +27,7 @@ class Variable:
     materialized lazily by backward() and has the same shape as value.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "parents", "_backward", "tape_id")
+    __slots__ = ("value", "grad", "requires_grad", "parents", "_backward")
 
     def __init__(self, value, parents=(), backward_fn=None, requires_grad=True):
         self.value = np.asarray(value, dtype=np.float64)
@@ -44,7 +35,6 @@ class Variable:
         self.requires_grad = bool(requires_grad)
         self.parents = tuple(parents)
         self._backward = backward_fn
-        self.tape_id = _fresh_id()
 
     @property
     def shape(self):
@@ -61,9 +51,6 @@ class Variable:
                 self.grad = np.broadcast_to(self.grad, self.value.shape).copy()
         else:
             self.grad += g
-
-    def detach(self) -> "Variable":
-        return Variable(self.value.copy(), requires_grad=False)
 
     def __repr__(self):
         return f"Variable(shape={self.value.shape}, requires_grad={self.requires_grad})"

@@ -1,7 +1,8 @@
 """Command-line surface: train, eval, predict, export-adjacency,
 gen-synthetic, dump-plot-data.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration/validation error (including a bad
+station CSV or a malformed checkpoint), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ import os
 import sys
 from datetime import timedelta
 
-import numpy as np
-
 from . import pipeline, synthetic, training
 from .config import ConfigError, RunConfig, load_run_config
-from .data import PipelineError, WIND_SPEED, assemble
-from .graph import AdjacencyMatrix, export_adjacency
+from .data import MinMaxScaler, PipelineError, assemble, sliding_windows
+from .graph import export_adjacency
 from .model import Network
-from .training import Checkpoint, evaluate, persistence_baseline, predict_physical
+from .training import Checkpoint, CheckpointError, evaluate, persistence_baseline, predict_physical
 
 
 def _write_lines(path, lines):
@@ -76,8 +75,7 @@ def _metrics_lines(label, metrics):
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    ckpt = Checkpoint.load(args.checkpoint)
-    cfg = _cfg_from_checkpoint(ckpt, cfg)
+    ckpt, cfg = _load_checkpoint(args, cfg)
     prepared = pipeline.prepare(cfg)
     metrics = evaluate(ckpt, prepared.test, prepared.scaler)
     baseline = persistence_baseline(prepared.test, prepared.scaler)
@@ -95,10 +93,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_predict(cfg: RunConfig, args) -> int:
-    ckpt = Checkpoint.load(args.checkpoint)
-    cfg = _cfg_from_checkpoint(ckpt, cfg)
-    from .data import MinMaxScaler
-
+    ckpt, cfg = _load_checkpoint(args, cfg)
     scaler = MinMaxScaler.from_state(ckpt.scaler)
     series = pipeline.load_stations(cfg)
     node_order = cfg.node_order()
@@ -109,8 +104,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
         raise PipelineError(
             f"need at least {window} recent hours per station, got {raw.shape[0]}"
         )
-    recent = scaler.apply(raw[-window:])
-    x = recent.transpose(1, 2, 0)[None]
+    x = sliding_windows(scaler.apply(raw[-window:]), window)
     net = ckpt.build_network(node_order=node_order)
     pred_norm = net.forward(x).value[0]
     when = timestamps[-1] + timedelta(hours=horizon)
@@ -122,8 +116,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
 
 
 def cmd_export_adjacency(cfg: RunConfig, args) -> int:
-    ckpt = Checkpoint.load(args.checkpoint)
-    cfg = _cfg_from_checkpoint(ckpt, cfg)
+    ckpt, cfg = _load_checkpoint(args, cfg)
     net = ckpt.build_network(node_order=cfg.node_order())
     adj = net.adjacency()
     out_dir = cfg["out.dir"]
@@ -180,12 +173,9 @@ def cmd_gen_synthetic(cfg: RunConfig, args) -> int:
 
 
 def cmd_dump_plot_data(cfg: RunConfig, args) -> int:
-    ckpt = Checkpoint.load(args.checkpoint)
-    cfg = _cfg_from_checkpoint(ckpt, cfg)
+    ckpt, cfg = _load_checkpoint(args, cfg)
     prepared = pipeline.prepare(cfg)
     net = ckpt.build_network(node_order=prepared.node_order)
-    from .data import MinMaxScaler
-
     scaler = MinMaxScaler.from_state(ckpt.scaler)
     test = prepared.test
     pred = predict_physical(net, test, scaler)
@@ -207,16 +197,18 @@ def cmd_dump_plot_data(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cfg_from_checkpoint(ckpt: Checkpoint, cli_cfg: RunConfig) -> RunConfig:
-    """Prefer the RunConfig stored in the checkpoint, with CLI overrides for
-    data location and output directory."""
+def _load_checkpoint(args, cli_cfg: RunConfig):
+    """(checkpoint, config) for a command run on args.checkpoint. The config
+    is the RunConfig stored in the checkpoint, with CLI overrides for data
+    location and output directory, or the CLI config if none is stored."""
+    ckpt = Checkpoint.load(args.checkpoint)
     if ckpt.run_config is None:
-        return cli_cfg
+        return ckpt, cli_cfg
     values = dict(ckpt.run_config)
     for key in ("data.dir", "out.dir"):
         if cli_cfg[key]:
             values[key] = cli_cfg[key]
-    return RunConfig(values)
+    return ckpt, RunConfig(values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +258,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, PipelineError, FileNotFoundError) as exc:
+    except (ConfigError, PipelineError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

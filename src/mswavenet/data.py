@@ -3,12 +3,15 @@
 CSV schema (one file per station): header exactly
 ``timestamp,temperature,pressure,wind_speed,wind_direction``, ISO-8601 UTC
 timestamps at hourly cadence. Gaps up to ``max_gap_hours`` are filled by
-linear interpolation; larger gaps are a hard error.
+linear interpolation; larger gaps, timestamps off the hourly grid and
+non-finite readings are a hard error.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -105,27 +108,34 @@ def load_station_csv(path, max_gap_hours: int = 3) -> StationSeries:
                 vals = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise CsvParseError(f"{path}: line {line_no}: {exc}") from None
+            if not all(map(math.isfinite, vals)):
+                bad = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+                raise IngestionError(
+                    f"{path}: line {line_no}: {FEATURE_ORDER[bad]} {vals[bad]} is not finite"
+                )
             if not 0.0 <= vals[3] < 360.0:
                 raise IngestionError(
                     f"{path}: line {line_no}: wind_direction {vals[3]} outside [0, 360)"
                 )
-            rows.append((ts, vals))
+            rows.append((ts, vals, line_no))
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
 
-    name = _station_name_from_path(path)
     timestamps = [rows[0][0]]
     features = [rows[0][1]]
-    for ts, vals in rows[1:]:
+    for ts, vals, line_no in rows[1:]:
         prev = timestamps[-1]
-        if ts == prev:
-            raise IngestionError(f"{name}: duplicate timestamp {ts.isoformat()}")
-        gap = int((ts - prev) / HOUR) - 1
+        hours, rest = divmod(ts - prev, HOUR)
+        if rest or not hours:
+            problem = f"off the hourly grid of {prev.isoformat()}" if rest else "a duplicate"
+            raise IngestionError(f"{path}: line {line_no}: timestamp {ts.isoformat()} is {problem}")
+        gap = hours - 1
         if gap > 0:
             if gap > max_gap_hours:
                 raise IngestionError(
-                    f"{name}: gap of {gap} h after {prev.isoformat()} exceeds max_gap_hours={max_gap_hours}"
+                    f"{path}: line {line_no}: gap of {gap} h after {prev.isoformat()} exceeds "
+                    f"max_gap_hours={max_gap_hours}"
                 )
             prev_vals = np.asarray(features[-1])
             next_vals = np.asarray(vals)
@@ -135,12 +145,12 @@ def load_station_csv(path, max_gap_hours: int = 3) -> StationSeries:
                 features.append(list(prev_vals + frac * (next_vals - prev_vals)))
         timestamps.append(ts)
         features.append(vals)
-    return StationSeries(name, timestamps, np.asarray(features, dtype=np.float64))
+    return StationSeries(
+        _station_name_from_path(path), timestamps, np.asarray(features, dtype=np.float64)
+    )
 
 
 def _station_name_from_path(path) -> str:
-    import os
-
     return os.path.splitext(os.path.basename(str(path)))[0]
 
 
@@ -240,6 +250,15 @@ class MinMaxScaler:
         return cls(np.asarray(state["mins"]), np.asarray(state["maxs"]))
 
 
+def sliding_windows(normalized: np.ndarray, window: int) -> np.ndarray:
+    """Every W-hour model input window of a normalized [L, D, N] series.
+
+    Returns a read-only [L-W+1, D, N, W] view sharing normalized's memory
+    (no copy): window s is normalized[s : s+W] with time as the last axis.
+    """
+    return np.lib.stride_tricks.sliding_window_view(normalized, window, axis=0)
+
+
 def make_windows(
     normalized: np.ndarray,
     raw: np.ndarray,
@@ -253,6 +272,7 @@ def make_windows(
 
     Sample s covers normalized[s : s+W] (transposed to [D, N, W]); its target
     is the un-normalized wind speed at index s+W-1+T for each target node.
+    inputs is a read-only view over normalized (see sliding_windows).
     """
     length = normalized.shape[0]
     if length < window + horizon:
@@ -260,9 +280,7 @@ def make_windows(
             f"series of length {length} too short for W={window}, T={horizon}"
         )
     n_samples = length - window - horizon + 1
-    inputs = np.empty((n_samples, normalized.shape[1], normalized.shape[2], window))
-    for s in range(n_samples):
-        inputs[s] = normalized[s : s + window].transpose(1, 2, 0)
+    inputs = sliding_windows(normalized, window)[:n_samples]
     target_idx = np.arange(n_samples) + window - 1 + horizon
     targets = raw[target_idx][:, WIND_SPEED][:, target_nodes]
     target_times = [timestamps[i] for i in target_idx] if timestamps else []

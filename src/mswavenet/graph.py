@@ -2,8 +2,7 @@
 
 The default adjacency is built from two learnable node-embedding matrices:
 row-wise softmax of E1 @ E2^T, giving a dense, row-stochastic, generally
-asymmetric N x N matrix. A self-loop variant (base matrix plus a learnable
-alpha on the diagonal) is provided for ablations but is not row-normalized.
+asymmetric N x N matrix.
 """
 
 from __future__ import annotations
@@ -31,22 +30,6 @@ class NodeEmbeddings:
         return [("adjacency.e1", self.e1), ("adjacency.e2", self.e2)]
 
 
-class SelfLoopAdjacency:
-    """Fixed base matrix with a learnable self-loop strength alpha."""
-
-    def __init__(self, base: np.ndarray, alpha: float = 1.0):
-        base = np.asarray(base, dtype=np.float64)
-        if base.ndim != 2 or base.shape[0] != base.shape[1]:
-            raise ShapeMismatchError("base adjacency must be square")
-        if base.min() < 0.0 or base.max() > 1.0:
-            raise ValueError("base adjacency entries must lie in [0, 1]")
-        self.base = base
-        self.alpha = Variable(np.asarray(float(alpha)))
-
-    def parameters(self):
-        return [("adjacency.alpha", self.alpha)]
-
-
 class AdjacencyMatrix:
     """A materialized N x N adjacency with its node labels."""
 
@@ -71,16 +54,6 @@ def _transpose(x: Variable) -> Variable:
         x.accumulate_grad(g.T)
 
     return Variable(out_val, (x,), backward_fn)
-
-
-def adjacency_selfloop(a: SelfLoopAdjacency, node_order=None) -> AdjacencyMatrix:
-    """Base matrix plus alpha on the diagonal; not row-normalized."""
-    n = a.base.shape[0]
-    eye = Variable(np.eye(n), requires_grad=False)
-    values = ad.add(Variable(a.base, requires_grad=False), ad.multiply(a.alpha, eye))
-    if node_order is None:
-        node_order = [f"node{i}" for i in range(n)]
-    return AdjacencyMatrix(values, node_order)
 
 
 def gcn_forward(x: Variable, adj: AdjacencyMatrix, theta: Variable, bias: Variable) -> Variable:

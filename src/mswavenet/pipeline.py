@@ -11,8 +11,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import RunConfig
 from .data import (
+    FEATURE_ORDER,
     DatasetTensor,
     MinMaxScaler,
     assemble,
@@ -49,14 +52,12 @@ def load_stations(cfg: RunConfig):
 def _windowed_split(norm, raw, ts, context, window, horizon, target_idx, node_order):
     """Window one split, optionally prepending tail rows of the previous
     split so the first target lands on the split's first hour."""
-    import numpy as np
-
     if len(raw) == 0:
         return DatasetTensor(
-            inputs=np.zeros((0, raw.shape[1] if raw.ndim == 3 else 4, len(node_order), window)),
+            inputs=np.zeros((0, len(FEATURE_ORDER), len(node_order), window)),
             targets=np.zeros((0, len(target_idx))),
             horizon=horizon,
-            feature_order=("temperature", "pressure", "wind_speed", "wind_direction"),
+            feature_order=FEATURE_ORDER,
             node_order=list(node_order),
             target_nodes=list(target_idx),
         )

@@ -33,6 +33,15 @@ class CheckpointError(Exception):
 # then a length-prefixed JSON trailer with config/scaler/seed/epoch/val_loss
 
 MAGIC = b"STGW1"
+# trailer key -> accepted JSON types; run_config is optional
+TRAILER_TYPES = {
+    "config": dict,
+    "scaler": dict,
+    "seed": int,
+    "epoch": int,
+    "val_loss": (int, float),
+    "run_config": (dict, type(None)),
+}
 
 
 @dataclass
@@ -97,22 +106,31 @@ class Checkpoint:
             off += n
             return out
 
-        (count,) = struct.unpack("<I", take(4))
-        params = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", take(4))
-            name = take(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", take(4))
-            dims = struct.unpack(f"<{rank}I", take(4 * rank))
-            size = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims).copy()
-            params[name] = arr
-        (trailer_len,) = struct.unpack("<I", take(4))
-        trailer = json.loads(take(trailer_len).decode("utf-8"))
+        try:
+            (count,) = struct.unpack("<I", take(4))
+            params = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<I", take(4))
+                name = take(name_len).decode("utf-8")
+                (rank,) = struct.unpack("<I", take(4))
+                dims = struct.unpack(f"<{rank}I", take(4 * rank))
+                # math.prod of Python ints cannot overflow: oversized dims
+                # read as truncation
+                data = take(8 * math.prod(dims))
+                params[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+            (trailer_len,) = struct.unpack("<I", take(4))
+            trailer = json.loads(take(trailer_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # incl. bad UTF-8 and JSON
+            raise CheckpointError(f"{path}: malformed at byte {off}: {exc}") from None
         if off != len(blob):
             raise CheckpointError(
                 f"{path}: {len(blob) - off} trailing bytes after trailer"
             )
+        if not isinstance(trailer, dict):
+            raise CheckpointError(f"{path}: trailer is not a JSON object")
+        bad = [k for k, kind in TRAILER_TYPES.items() if not isinstance(trailer.get(k), kind)]
+        if bad:
+            raise CheckpointError(f"{path}: trailer keys missing or mistyped: {bad}")
         return cls(
             params=params,
             config=trailer["config"],

@@ -161,6 +161,30 @@ class TestDumpPlotData:
             assert abs(mae - float(m.group(1))) < 5e-7
 
 
+class TestBadInputExitsOne:
+    @pytest.mark.parametrize("command", ["eval", "predict", "export-adjacency", "dump-plot-data"])
+    def test_corrupt_checkpoint_named(self, workdir, tmp_path, capfd, command):
+        bad = tmp_path / "corrupt.bin"
+        bad.write_bytes(b"STGW1garbage")
+        rc = main(workdir["argv"] + [command, str(bad)])
+        assert rc == 1
+        assert str(bad) in capfd.readouterr().err
+
+    def test_non_finite_csv_value_named(self, workdir, tmp_path, capfd):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for j in range(3):
+            lines = (workdir["data"] / f"node{j}.csv").read_text().splitlines()
+            if j == 1:
+                fields = lines[3].split(",")
+                fields[3] = "nan"  # wind_speed
+                lines[3] = ",".join(fields)
+            (bad / f"node{j}.csv").write_text("\n".join(lines) + "\n")
+        rc = main(workdir["argv"] + ["--set", f"data.dir={bad}", "train"])
+        assert rc == 1
+        assert "node1.csv: line 4: wind_speed" in capfd.readouterr().err
+
+
 class TestConfigHandling:
     def test_unknown_key_exits_one(self, workdir, capfd):
         rc = main(workdir["argv"] + ["--set", "model.depth=9", "train"])

@@ -86,6 +86,25 @@ class TestLoadStationCsv:
         with pytest.raises(IngestionError, match="wind_direction"):
             load_station_csv(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("feature", ["temperature", "pressure", "wind_speed"])
+    def test_non_finite_rejected_with_line(self, tmp_path, feature, value):
+        rows = [list(r) for r in hourly_rows(START, 3)]
+        rows[1][1 + data.FEATURE_ORDER.index(feature)] = value
+        p = tmp_path / "A.csv"
+        write_csv(p, rows)
+        with pytest.raises(IngestionError, match=rf"A\.csv: line 3: {feature} .* not finite"):
+            load_station_csv(p)
+
+    def test_off_grid_timestamp_rejected_with_line(self, tmp_path):
+        # 00:30 between 00:00 and 02:00 is not a whole number of hours apart
+        rows = hourly_rows(START, 3)
+        rows[1] = ("2005-01-01T00:30:00Z",) + rows[1][1:]
+        p = tmp_path / "A.csv"
+        write_csv(p, rows)
+        with pytest.raises(IngestionError, match=r"A\.csv: line 3: timestamp 2005-01-01T00:30"):
+            load_station_csv(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "A.csv"
         p.write_text("time,temp\n1,2\n")
@@ -227,6 +246,20 @@ class TestMakeWindows:
         ds = make_windows(raw, raw, 48, 6, [0, 3, 4])
         assert ds.inputs.shape[1:] == (4, 5, 48)
         assert ds.targets.shape[1] == 3
+
+    def test_read_only_view_equals_copy_loop(self, rng):
+        # every axis a different length, so a transposed layout cannot pass
+        length, window, horizon = 37, 5, 2
+        norm = rng.uniform(0, 1, size=(length, 4, 3))
+        ds = make_windows(norm, norm, window, horizon, [1])
+        n = length - window - horizon + 1
+        reference = np.empty((n, 4, 3, window))
+        for s in range(n):
+            reference[s] = norm[s : s + window].transpose(1, 2, 0)
+        assert ds.inputs.shape == reference.shape
+        assert ds.inputs.tobytes() == reference.tobytes()
+        assert np.shares_memory(ds.inputs, norm)
+        assert not ds.inputs.flags.writeable
 
     def test_too_short(self, rng):
         with pytest.raises(PipelineError):

@@ -8,15 +8,11 @@ from mswavenet.autodiff import ShapeMismatchError, Variable
 from mswavenet.graph import (
     AdjacencyMatrix,
     NodeEmbeddings,
-    SelfLoopAdjacency,
-    adjacency_selfloop,
     adjacency_softmax,
     export_adjacency,
     gcn_forward,
     load_adjacency_csv,
 )
-
-from conftest import finite_difference, rel_err
 
 
 def embeddings_from(e1, e2):
@@ -59,34 +55,6 @@ class TestAdjacencySoftmax:
         ad.backward(ad.total(ad.multiply(adj.values, Variable(rng.normal(size=(3, 3)), requires_grad=False))))
         assert emb.e1.grad is not None and np.any(emb.e1.grad != 0)
         assert emb.e2.grad is not None and np.any(emb.e2.grad != 0)
-
-
-class TestAdjacencySelfloop:
-    def test_zero_base_unit_alpha(self):
-        a = SelfLoopAdjacency(np.zeros((3, 3)), alpha=1.0)
-        np.testing.assert_array_equal(adjacency_selfloop(a).values.value, np.eye(3))
-
-    def test_identity_base_half_alpha(self):
-        a = SelfLoopAdjacency(np.eye(3), alpha=0.5)
-        np.testing.assert_allclose(adjacency_selfloop(a).values.value, 1.5 * np.eye(3))
-
-    def test_alpha_gradient_is_identity(self):
-        a = SelfLoopAdjacency(np.full((3, 3), 0.2), alpha=0.7)
-        adj = adjacency_selfloop(a)
-        ad.backward(ad.total(adj.values))
-        # d(sum of values)/d(alpha) = trace(I) = 3
-        assert float(a.alpha.grad) == pytest.approx(3.0)
-        fd = finite_difference(
-            lambda v: float(
-                (np.full((3, 3), 0.2) + float(v) * np.eye(3)).sum()
-            ),
-            np.array(0.7),
-        )
-        assert rel_err(a.alpha.grad, fd) < 1e-6
-
-    def test_entry_range_enforced(self):
-        with pytest.raises(ValueError):
-            SelfLoopAdjacency(np.full((2, 2), 1.5))
 
 
 def identity_adj(n):

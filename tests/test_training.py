@@ -1,15 +1,22 @@
 import dataclasses
+import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mswavenet import autodiff as ad
 from mswavenet import training
 from mswavenet.autodiff import Variable
 from mswavenet.data import WIND_SPEED, MinMaxScaler, make_windows
-from mswavenet.model import SINGLE_SCALE, ModelConfig, Network
+from mswavenet.model import MULTI_SCALE, SINGLE_SCALE, ModelConfig, Network
 from mswavenet.training import (
+    MAGIC,
+    TRAILER_TYPES,
     AdamOptimizer,
     Checkpoint,
     CheckpointError,
@@ -149,6 +156,48 @@ class TestPlateauScheduler:
             self.run_script([math.inf] * 3)
 
 
+def checkpoint_blob(entries=(), trailer=None):
+    """Hand-built STGW1 bytes: (name, dims, payload) byte entries, then a
+    raw trailer (default: a minimal valid JSON one)."""
+    if trailer is None:
+        trailer = json.dumps(
+            {"config": {}, "scaler": {}, "seed": 0, "epoch": 0, "val_loss": 0.0}
+        ).encode()
+    parts = [MAGIC, struct.pack("<I", len(entries))]
+    for name, dims, payload in entries:
+        parts += [struct.pack("<I", len(name)), name, struct.pack("<I", len(dims))]
+        parts += [struct.pack(f"<{len(dims)}I", *dims), payload]
+    parts += [struct.pack("<I", len(trailer)), trailer]
+    return b"".join(parts)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_trailers = st.one_of(
+    st.binary(max_size=32),
+    _json.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries({}, optional=dict.fromkeys(TRAILER_TYPES, _json)).map(
+        lambda d: json.dumps(d).encode()
+    ),
+)
+_entries = st.lists(
+    st.tuples(
+        st.binary(max_size=6),
+        st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 3), max_size=4),
+        st.binary(max_size=48),
+    ),
+    max_size=3,
+)
+_stgw1_blobs = st.one_of(
+    st.binary(max_size=64).map(lambda tail: MAGIC + tail),
+    st.builds(checkpoint_blob, _entries, _trailers),
+)
+
+
 class TestCheckpoint:
     @staticmethod
     def sample(rng):
@@ -224,6 +273,48 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             Checkpoint.load(p)
 
+    def test_hand_built_blob_loads(self, tmp_path):
+        p = tmp_path / "ok.bin"
+        p.write_bytes(checkpoint_blob([(b"w", (2,), struct.pack("<2d", 1.0, 2.0))]))
+        np.testing.assert_array_equal(Checkpoint.load(p).params["w"], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "blob, reason",
+        [
+            (MAGIC + b"garbage", "truncated"),
+            (checkpoint_blob(trailer=b'{"config": {}, "seed": 0, "epoch": 0, "val_loss": 0}'), "scaler"),
+            (checkpoint_blob([(b"w", (2**31, 2**31, 2**31), b"")]), "truncated"),
+            (checkpoint_blob([(b"w", (1,) * 70, b"\0" * 8)]), "malformed"),
+            (checkpoint_blob([(b"\xff\xfe", (), b"\0" * 8)]), "malformed.*utf-8"),
+            (checkpoint_blob(trailer=b"\xff{}"), "malformed.*utf-8"),
+            (checkpoint_blob(trailer=b"{not json"), "malformed"),
+            (checkpoint_blob(trailer=b"[1, 2]"), "not a JSON object"),
+            (checkpoint_blob(trailer=b'{"config": 5, "scaler": {}, "seed": 0, "epoch": 0}'), "config"),
+        ],
+        ids=[
+            "garbage", "no-scaler", "overflowing-dims", "too-many-dims", "name-not-utf8",
+            "trailer-not-utf8", "trailer-not-json", "trailer-not-object", "config-not-object",
+        ],
+    )
+    def test_malformed_raises_naming_path(self, tmp_path, blob, reason):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(blob)
+        with pytest.raises(CheckpointError, match=re.escape(str(p))) as exc:
+            Checkpoint.load(p)
+        assert re.search(reason, str(exc.value))
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(blob=_stgw1_blobs)
+    def test_any_stgw1_bytes_load_or_raise_checkpoint_error(self, tmp_path, blob):
+        p = tmp_path / "fuzz.bin"
+        p.write_bytes(blob)
+        try:
+            Checkpoint.load(p)
+        except CheckpointError as exc:
+            assert str(p) in str(exc)
+
     def test_trailing_garbage(self, tmp_path, rng):
         p = tmp_path / "g.bin"
         self.sample(rng).save(p)
@@ -289,6 +380,24 @@ class TestTrainLoop:
         a, b = run("a"), run("b")
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
+
+    @pytest.mark.parametrize(
+        "config",
+        [tiny_config(), tiny_config(variant=MULTI_SCALE, branch_specs=[[(2, 1), (3, 2)]])],
+        ids=["single_scale", "multi_scale"],
+    )
+    def test_window_views_train_like_contiguous_copies(self, tmp_path, rng, config):
+        ds, scaler = tiny_dataset(rng)
+        assert not ds.inputs.flags.writeable  # a view over the normalised series
+        copied = dataclasses.replace(ds, inputs=np.ascontiguousarray(ds.inputs))
+
+        def run(dataset, tag):
+            path = tmp_path / f"{tag}.bin"
+            net = Network(config, seed=3)
+            train(net, dataset, dataset, scaler, path, epochs=2, batch_size=16, seed=1)
+            return path.read_bytes()
+
+        assert run(ds, "view") == run(copied, "copy")
 
 
 class TestOverfit:
