@@ -44,13 +44,15 @@ class Variable:
         self.grad = None
 
     def accumulate_grad(self, g):
+        # the first gradient is kept as given, even when another Variable
+        # holds it too; that is safe because no gradient is ever changed in
+        # place: later contributions are added out of place
         if self.grad is None:
-            # copy: g may be a fresh array, but must never be aliased
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.asarray(g, dtype=np.float64)
             if self.grad.shape != self.value.shape:
                 self.grad = np.broadcast_to(self.grad, self.value.shape).copy()
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     def __repr__(self):
         return f"Variable(shape={self.value.shape}, requires_grad={self.requires_grad})"

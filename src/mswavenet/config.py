@@ -7,6 +7,8 @@ Every key has a typed default below; overrides are applied with
 
 from __future__ import annotations
 
+import io
+import re
 import warnings
 
 DEFAULTS = {
@@ -46,44 +48,41 @@ class ConfigError(ValueError):
     pass
 
 
-def _coerce(key: str, raw: str):
-    default = DEFAULTS[key]
+def read_utf8(path, error) -> str:
+    """Text of the file at path; bytes that are not UTF-8 raise ``error``
+    naming the file and the line."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        if isinstance(default, bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def _assign(values: dict, errors: list, where: str, item: str) -> None:
+    """Store one ``key = value`` item in values, or record an error naming where."""
+    key, eq, raw = item.partition("=")
+    key = key.strip()
+    if not eq:
+        errors.append(f"{where}: expected 'key = value', got {item!r}")
+    elif key not in DEFAULTS:
+        errors.append(f"{where}: unknown key {key!r}")
+    else:
+        try:
+            values[key] = type(DEFAULTS[key])(raw.strip())
+        except ValueError as exc:
+            errors.append(f"{where}: {key}: {exc}")
 
 
 def parse_config_file(path) -> dict:
     values = {}
     errors = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                errors.append(f"line {line_no}: expected 'key = value', got {line!r}")
-                continue
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in DEFAULTS:
-                errors.append(f"line {line_no}: unknown key {key!r}")
-                continue
-            try:
-                values[key] = _coerce(key, raw)
-            except ConfigError as exc:
-                errors.append(f"line {line_no}: {exc}")
+    text = read_utf8(path, ConfigError)
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            _assign(values, errors, f"line {line_no}", line)
     if errors:
         raise ConfigError(f"{path}:\n  " + "\n  ".join(errors))
     return values
@@ -94,18 +93,7 @@ def apply_overrides(values: dict, overrides) -> dict:
     out = dict(values)
     errors = []
     for item in overrides or []:
-        if "=" not in item:
-            errors.append(f"--set {item!r}: expected key=value")
-            continue
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            errors.append(f"--set: unknown key {key!r}")
-            continue
-        try:
-            out[key] = _coerce(key, raw.strip())
-        except ConfigError as exc:
-            errors.append(f"--set {key}: {exc}")
+        _assign(out, errors, f"--set {item!r}", item)
     if errors:
         raise ConfigError("\n".join(errors))
     return out
@@ -151,6 +139,11 @@ class RunConfig:
             errors.append(f"model.variant {v['model.variant']!r} unknown")
         if v["synth.graph"] not in ("cycle", "chain"):
             errors.append(f"synth.graph {v['synth.graph']!r} unknown")
+        for key in ("split.train_years", "split.val_years", "split.test_years"):
+            try:
+                self.years(key)
+            except ConfigError as exc:
+                errors.append(str(exc))
         nodes = self.node_order()
         targets = self.target_node_names()
         bad = [t for t in targets if t not in nodes]
@@ -182,12 +175,11 @@ class RunConfig:
         if not text:
             return out
         for part in text.split(","):
-            part = part.strip()
-            if "-" in part:
-                lo, _, hi = part.partition("-")
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(part))
+            m = re.fullmatch(r"\s*(\d{1,4})\s*(?:-\s*(\d{1,4})\s*)?", part)
+            lo, hi = (int(m[1]), int(m[2] or m[1])) if m else (0, 0)
+            if not 1 <= lo <= hi:  # datetime years run 1-9999
+                raise ConfigError(f"{key}: {part.strip()!r} is not a year or an ascending range")
+            out.extend(range(lo, hi + 1))
         return out
 
     def model_config(self):

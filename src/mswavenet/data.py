@@ -10,13 +10,16 @@ non-finite readings are a hard error.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+
+from .config import read_utf8
 
 FEATURE_ORDER = ("temperature", "pressure", "wind_speed", "wind_direction")
 WIND_SPEED = FEATURE_ORDER.index("wind_speed")
@@ -77,33 +80,33 @@ class DatasetTensor:
         return self.inputs.shape[0]
 
 
-def _parse_timestamp(text: str, line_no: int) -> datetime:
+def _parse_timestamp(path, text: str, line_no: int) -> datetime:
     try:
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise CsvParseError(f"line {line_no}: bad timestamp {text!r}: {exc}") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        return ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:  # overflow: UTC falls outside years 1-9999
+        raise CsvParseError(f"{path}: line {line_no}: bad timestamp {text!r}: {exc}") from None
 
 
 def load_station_csv(path, max_gap_hours: int = 3) -> StationSeries:
     """Parse one station file, sort chronologically, fill short gaps."""
+    reader = csv.reader(io.StringIO(read_utf8(path, CsvParseError), newline=""))
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file") from None
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CsvParseError(f"{path}: empty file")
         if [h.strip() for h in header] != EXPECTED_HEADER:
             raise CsvParseError(f"{path}: bad header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if not row:
                 continue
             if len(row) != 5:
                 raise CsvParseError(f"{path}: line {line_no}: expected 5 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0], line_no)
+            ts = _parse_timestamp(path, row[0], line_no)
             try:
                 vals = [float(v) for v in row[1:]]
             except ValueError as exc:
@@ -118,6 +121,8 @@ def load_station_csv(path, max_gap_hours: int = 3) -> StationSeries:
                     f"{path}: line {line_no}: wind_direction {vals[3]} outside [0, 360)"
                 )
             rows.append((ts, vals, line_no))
+    except csv.Error as exc:
+        raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
@@ -165,24 +170,30 @@ def assemble(series: list, node_order: list) -> tuple:
     if missing:
         raise AlignmentError(f"missing stations: {missing}")
     ordered = [by_name[n] for n in node_order]
-    start = max(s.timestamps[0] for s in ordered)
+    latest = max(ordered, key=lambda s: s.timestamps[0])
+    start = latest.timestamps[0]
     end = min(s.timestamps[-1] for s in ordered)
     if end < start:
         raise AlignmentError("stations share no common time range")
     length = int((end - start) / HOUR) + 1
     raw = np.empty((length, len(FEATURE_ORDER), len(node_order)))
     for j, s in enumerate(ordered):
-        offset = int((start - s.timestamps[0]) / HOUR)
+        offset, rest = divmod(start - s.timestamps[0], HOUR)
+        if rest:
+            names = f"{s.station_name!r} and {latest.station_name!r}"
+            raise AlignmentError(f"stations {names} sit on hourly grids {rest} apart")
         raw[:, :, j] = s.features[offset : offset + length]
     timestamps = [start + i * HOUR for i in range(length)]
     return raw, timestamps
 
 
-def split_by_years(raw, timestamps, train_years, val_years, test_years):
-    """Chronological split by calendar year; years must be disjoint and present.
+def split_by_years(timestamps, train_years, val_years, test_years):
+    """Chronological split by calendar year: the row range of each split.
 
-    Returns ((train_raw, train_ts), (val_raw, val_ts), (test_raw, test_ts)).
-    An empty val_years or test_years yields an empty split with a warning.
+    Returns (train, val, test) slices over the series whose hours are
+    ``timestamps``. Years must be disjoint and present, and each split's
+    years one consecutive run of rows. An empty val_years or test_years
+    yields an empty range with a warning.
     """
     groups = [list(train_years), list(val_years), list(test_years)]
     flat = [y for g in groups for y in g]
@@ -197,11 +208,14 @@ def split_by_years(raw, timestamps, train_years, val_years, test_years):
     for label, g in zip(("train", "validation", "test"), groups):
         if not g:
             warnings.warn(f"empty {label} split requested", RuntimeWarning, stacklevel=2)
-            out.append((raw[:0], []))
+            out.append(slice(0, 0))
             continue
-        mask = np.isin(years, g)
-        idx = np.nonzero(mask)[0]
-        out.append((raw[idx], [timestamps[i] for i in idx]))
+        idx = np.flatnonzero(np.isin(years, g))
+        if idx[-1] - idx[0] + 1 != len(idx):
+            raise SplitError(
+                f"{label} years {sorted(g)} are not one consecutive run of the data's years"
+            )
+        out.append(slice(int(idx[0]), int(idx[-1]) + 1))
     return tuple(out)
 
 
@@ -224,10 +238,8 @@ class MinMaxScaler:
 
     def apply(self, raw: np.ndarray) -> np.ndarray:
         span = self.maxs - self.mins
-        out = np.empty_like(raw, dtype=np.float64)
         const = span == 0.0
-        safe = np.where(const, 1.0, span)
-        out[:] = (raw - self.mins) / safe
+        out = (raw - self.mins) / np.where(const, 1.0, span)
         # constant features carry no information; park them at mid-range
         out[:, const] = 0.5
         return out
@@ -279,11 +291,10 @@ def make_windows(
         raise PipelineError(
             f"series of length {length} too short for W={window}, T={horizon}"
         )
-    n_samples = length - window - horizon + 1
-    inputs = sliding_windows(normalized, window)[:n_samples]
-    target_idx = np.arange(n_samples) + window - 1 + horizon
-    targets = raw[target_idx][:, WIND_SPEED][:, target_nodes]
-    target_times = [timestamps[i] for i in target_idx] if timestamps else []
+    lead = window - 1 + horizon  # sample s targets row s + lead
+    inputs = sliding_windows(normalized, window)[: length - lead]
+    targets = raw[lead:length, WIND_SPEED][:, target_nodes]
+    target_times = list(timestamps[lead:length]) if timestamps else []
     if node_order is None:
         node_order = [f"node{i}" for i in range(normalized.shape[2])]
     return DatasetTensor(
@@ -294,6 +305,20 @@ def make_windows(
         node_order=list(node_order),
         target_nodes=list(target_nodes),
         target_times=target_times,
+    )
+
+
+def samples_targeting(dataset: DatasetTensor, rows: slice) -> DatasetTensor:
+    """The samples of a make_windows dataset whose target row lies in rows
+    (a slice of the series), as views of its arrays."""
+    lead = dataset.inputs.shape[-1] - 1 + dataset.horizon  # sample s targets row s + lead
+    start, stop, _ = rows.indices(len(dataset) + lead)
+    pick = slice(max(start - lead, 0), max(stop - lead, 0))
+    return replace(
+        dataset,
+        inputs=dataset.inputs[pick],
+        targets=dataset.targets[pick],
+        target_times=dataset.target_times[pick],
     )
 
 

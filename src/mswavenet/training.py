@@ -131,6 +131,12 @@ class Checkpoint:
         bad = [k for k, kind in TRAILER_TYPES.items() if not isinstance(trailer.get(k), kind)]
         if bad:
             raise CheckpointError(f"{path}: trailer keys missing or mistyped: {bad}")
+        try:
+            ModelConfig.from_dict(trailer["config"])
+        except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+            raise CheckpointError(
+                f"{path}: trailer config is not a model config: {exc!r}"
+            ) from None
         return cls(
             params=params,
             config=trailer["config"],

@@ -1,14 +1,33 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mswavenet.cli import main
-from mswavenet.config import ConfigError, RunConfig, load_run_config
+from mswavenet.config import DEFAULTS, ConfigError, RunConfig, load_run_config
+from mswavenet.training import Checkpoint
 
 NODES = "node0,node1,node2"
 TARGETS = "node0,node2"
+
+_values = st.one_of(
+    st.text(max_size=8),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.from_regex(r"-?\d{1,5}(-\d{0,5})?(,\d{1,5})?", fullmatch=True),
+)
+_lines = st.one_of(
+    st.tuples(st.sampled_from(sorted(DEFAULTS)), _values).map(" = ".join),
+    st.text(max_size=12),
+)
+_config_files = st.one_of(
+    st.binary(max_size=64),
+    st.lists(_lines, max_size=6).map(lambda lines: "\n".join(lines).encode()),
+)
 
 
 @pytest.fixture(scope="module")
@@ -170,19 +189,53 @@ class TestBadInputExitsOne:
         assert rc == 1
         assert str(bad) in capfd.readouterr().err
 
-    def test_non_finite_csv_value_named(self, workdir, tmp_path, capfd):
+    @staticmethod
+    def train_on_edited_line_4(workdir, tmp_path, edit):
+        """Exit code of train on copies of the stations with line 4 of
+        node1.csv replaced by edit(its fields)."""
         bad = tmp_path / "bad"
         bad.mkdir()
         for j in range(3):
-            lines = (workdir["data"] / f"node{j}.csv").read_text().splitlines()
+            lines = (workdir["data"] / f"node{j}.csv").read_bytes().splitlines()
             if j == 1:
-                fields = lines[3].split(",")
-                fields[3] = "nan"  # wind_speed
-                lines[3] = ",".join(fields)
-            (bad / f"node{j}.csv").write_text("\n".join(lines) + "\n")
-        rc = main(workdir["argv"] + ["--set", f"data.dir={bad}", "train"])
+                lines[3] = b",".join(edit(lines[3].split(b",")))
+            (bad / f"node{j}.csv").write_bytes(b"\n".join(lines) + b"\n")
+        return main(workdir["argv"] + ["--set", f"data.dir={bad}", "train"])
+
+    def test_non_finite_csv_value_named(self, workdir, tmp_path, capfd):
+        rc = self.train_on_edited_line_4(
+            workdir, tmp_path, lambda fields: fields[:3] + [b"nan"] + fields[4:]  # wind_speed
+        )
         assert rc == 1
         assert "node1.csv: line 4: wind_speed" in capfd.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda fields: fields[:1] + [b"\xff" + fields[1]] + fields[2:], "not UTF-8"),
+            (lambda fields: [b"0001-01-01T00:00:00+01:00"] + fields[1:], "bad timestamp"),
+        ],
+        ids=["not-utf8", "overflowing-timestamp"],
+    )
+    def test_bad_csv_line_named(self, workdir, tmp_path, capfd, edit, reason):
+        rc = self.train_on_edited_line_4(workdir, tmp_path, edit)
+        assert rc == 1
+        assert f"node1.csv: line 4: {reason}" in capfd.readouterr().err
+
+    def test_checkpoint_config_not_a_model_config(self, workdir, tmp_path, capfd):
+        ckpt = Checkpoint.load(workdir["checkpoint"])
+        ckpt.config = {}
+        bad = tmp_path / "no_model.bin"
+        ckpt.save(bad)
+        rc = main(workdir["argv"] + ["export-adjacency", str(bad)])
+        assert rc == 1
+        assert f"{bad}: trailer config is not a model config" in capfd.readouterr().err
+
+    def test_non_consecutive_split_years(self, workdir, capfd):
+        years = ["split.train_years=2000,2002", "split.val_years=", "split.test_years=2001"]
+        rc = main(workdir["argv"] + [a for y in years for a in ("--set", y)] + ["train"])
+        assert rc == 1
+        assert "train years [2000, 2002] are not one consecutive run" in capfd.readouterr().err
 
 
 class TestConfigHandling:
@@ -220,6 +273,32 @@ class TestConfigHandling:
     def test_seed_flag_overrides(self):
         cfg = load_run_config(None, None, seed=42)
         assert cfg["seed"] == 42
+
+    def test_non_utf8_config_file_exits_one(self, tmp_path, capfd):
+        bad = tmp_path / "bad.conf"
+        bad.write_bytes(b"seed = 1\nout.dir = caf\xe9\n")
+        rc = main(["--config", str(bad), "gen-synthetic"])
+        assert rc == 1
+        assert f"{bad}: line 2: not UTF-8" in capfd.readouterr().err
+
+    def test_bad_year_list_exits_one(self, workdir, capfd):
+        rc = main(workdir["argv"] + ["--set", "split.train_years=20x0", "train"])
+        assert rc == 1
+        assert "split.train_years: '20x0' is not a year" in capfd.readouterr().err
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(blob=_config_files)
+    def test_any_bytes_load_or_raise_config_error(self, tmp_path, blob):
+        p = tmp_path / "fuzz.conf"
+        p.write_bytes(blob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # non-standard horizons
+            try:
+                load_run_config(str(p))
+            except ConfigError:
+                pass
 
     def test_year_range_parsing(self):
         cfg = RunConfig({"split.train_years": "2000-2003,2005"})

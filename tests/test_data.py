@@ -3,7 +3,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mswavenet import data
@@ -18,6 +18,7 @@ from mswavenet.data import (
     batch_iter,
     load_station_csv,
     make_windows,
+    samples_targeting,
     split_by_years,
 )
 
@@ -42,6 +43,39 @@ def hourly_rows(start, n, value=5.0):
 
 
 START = datetime(2005, 1, 1, tzinfo=UTC)
+
+_zones = st.none() | st.builds(
+    timezone, st.timedeltas(min_value=-timedelta(hours=23), max_value=timedelta(hours=23))
+)
+_stamps = st.one_of(
+    *[
+        st.builds(lambda t, zone: t.replace(tzinfo=zone).isoformat(), times, _zones)
+        for times in (st.sampled_from([datetime.min, datetime.max]), st.datetimes())
+    ],  # the first and last datetimes overflow when converted to UTC
+    st.datetimes().map(lambda t: t.strftime("%Y-%m-%dT%H:00:00Z")),
+    st.text(max_size=8),
+)
+_readings = st.one_of(
+    st.floats().map(repr), st.integers(-400, 400).map(str), st.text(max_size=4)
+)
+_rows = st.one_of(
+    st.tuples(_stamps, _readings, _readings, _readings, _readings).map(",".join),
+    st.lists(_stamps | _readings, max_size=6).map(",".join),
+)
+_hourly = st.builds(
+    lambda start, values: [
+        ",".join([(start + i * timedelta(hours=1)).isoformat()] + [repr(v) for v in vs])
+        for i, vs in enumerate(values)
+    ],
+    st.datetimes(max_value=datetime(9000, 1, 1), timezones=_zones),
+    st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 3, st.floats(0, 359)), min_size=1, max_size=4),
+)
+_csv_files = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda tail: HEADER.encode() + tail),
+    st.lists(_rows, max_size=5).map(lambda rows: (HEADER + "\n".join(rows)).encode()),
+    _hourly.map(lambda rows: (HEADER + "\n".join(rows)).encode()),
+)
 
 
 class TestLoadStationCsv:
@@ -111,6 +145,41 @@ class TestLoadStationCsv:
         with pytest.raises(CsvParseError, match="header"):
             load_station_csv(p)
 
+    def test_overflowing_timestamp_rejected_with_line(self, tmp_path):
+        # 00:00 at UTC+1 on 0001-01-01 is an hour before the first datetime
+        rows = hourly_rows(START, 2) + [("0001-01-01T00:00:00+01:00", 1.0, 1000.0, 5.0, 180.0)]
+        p = tmp_path / "A.csv"
+        write_csv(p, rows)
+        with pytest.raises(CsvParseError, match=r"A\.csv: line 4: bad timestamp '0001-01-01"):
+            load_station_csv(p)
+
+    def test_non_utf8_bytes_rejected_with_line(self, tmp_path):
+        p = tmp_path / "A.csv"
+        write_csv(p, hourly_rows(START, 3))
+        lines = p.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"180.0", b"18\xff0.0")
+        p.write_bytes(b"".join(lines))
+        with pytest.raises(CsvParseError, match=r"A\.csv: line 3: not UTF-8"):
+            load_station_csv(p)
+
+    def test_oversized_field_rejected_with_line(self, tmp_path):
+        p = tmp_path / "A.csv"
+        write_csv(p, hourly_rows(START, 2) + [("x" * 200_000, 1.0, 1000.0, 5.0, 180.0)])
+        with pytest.raises(CsvParseError, match=r"A\.csv: line 4: field larger"):
+            load_station_csv(p)
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(blob=_csv_files)
+    def test_any_bytes_parse_or_raise_pipeline_error(self, tmp_path, blob):
+        p = tmp_path / "A.csv"
+        p.write_bytes(blob)
+        try:
+            load_station_csv(p)
+        except PipelineError as exc:
+            assert str(p) in str(exc)
+
 
 def make_series(name, start, n, seed=0):
     rng = np.random.default_rng(seed)
@@ -146,6 +215,12 @@ class TestAssemble:
         raw, _ = assemble(series, [f"S{i}" for i in range(5)])
         assert raw.shape == (8, 4, 5)
 
+    def test_offset_hourly_grids_rejected(self):
+        a = make_series("A", START, 5)
+        b = make_series("B", START + timedelta(minutes=30), 5, 1)
+        with pytest.raises(data.AlignmentError, match="'A' and 'B'.*0:30:00"):
+            assemble([a, b], ["A", "B"])
+
     def test_empty_intersection(self):
         a = make_series("A", START, 5)
         b = make_series("B", START + timedelta(hours=100), 5)
@@ -163,37 +238,42 @@ class TestSplitByYears:
 
     def test_nine_one_one_calendar_exact(self):
         s = self.eleven_years()
-        raw, ts = assemble([s], ["A"])
-        (tr, tr_ts), (va, va_ts), (te, te_ts) = split_by_years(
-            raw, ts, list(range(2000, 2009)), [2009], [2010]
-        )
+        _, ts = assemble([s], ["A"])
+        tr, va, te = split_by_years(ts, list(range(2000, 2009)), [2009], [2010])
         # independent calendar oracle
         expect_train = sum(
             (8784 if calendar.isleap(y) else 8760) for y in range(2000, 2009)
         )
-        assert len(tr) == expect_train
-        assert len(va) == 8760
-        assert len(te) == 8760
-        assert tr_ts[-1] < va_ts[0] < te_ts[0]
+        assert len(ts[tr]) == expect_train
+        assert len(ts[va]) == 8760
+        assert len(ts[te]) == 8760
+        assert ts[tr][-1] < ts[va][0] < ts[te][0]
+        assert {t.year for t in ts[va]} == {2009}
 
     def test_disjointness_enforced(self):
         s = make_series("A", START, 100)
-        raw, ts = assemble([s], ["A"])
+        _, ts = assemble([s], ["A"])
         with pytest.raises(SplitError):
-            split_by_years(raw, ts, [2005], [2005], [2005])
+            split_by_years(ts, [2005], [2005], [2005])
 
     def test_missing_year(self):
         s = make_series("A", START, 100)
-        raw, ts = assemble([s], ["A"])
+        _, ts = assemble([s], ["A"])
         with pytest.raises(SplitError):
-            split_by_years(raw, ts, [2005], [2006], [2007])
+            split_by_years(ts, [2005], [2006], [2007])
 
     def test_empty_val_warns(self):
         s = make_series("A", datetime(2005, 12, 31, tzinfo=UTC), 100)
-        raw, ts = assemble([s], ["A"])
+        _, ts = assemble([s], ["A"])
         with pytest.warns(RuntimeWarning, match="validation"):
-            (_, _), (va, _), (_, _) = split_by_years(raw, ts, [2005], [], [2006])
-        assert len(va) == 0
+            _, va, _ = split_by_years(ts, [2005], [], [2006])
+        assert len(ts[va]) == 0
+
+    def test_non_consecutive_years_rejected_naming_split(self):
+        s = make_series("A", datetime(2005, 12, 31, tzinfo=UTC), 400 * 24)
+        _, ts = assemble([s], ["A"])
+        with pytest.raises(SplitError, match="train years \\[2005, 2007\\]"):
+            split_by_years(ts, [2005, 2007], [2006], [])
 
 
 class TestMinMaxScaler:
@@ -292,6 +372,23 @@ class TestMakeWindows:
         raw = np.zeros((length, 4, 2))
         ds = make_windows(raw, raw, window, horizon, [0])
         assert len(ds) == length - window - horizon + 1
+
+
+class TestSamplesTargeting:
+    def test_picks_samples_by_target_row(self, rng):
+        length, window, horizon = 40, 5, 3
+        raw = rng.uniform(0, 20, size=(length, 4, 2))
+        ts = [START + timedelta(hours=i) for i in range(length)]
+        every = make_windows(raw, raw, window, horizon, [1], timestamps=ts)
+        target_row = [ts.index(t) for t in every.target_times]
+        for start, stop in ((0, 10), (7, 8), (10, 25), (30, 40), (0, 0), (0, 3)):
+            part = samples_targeting(every, slice(start, stop))
+            picked = [s for s, row in enumerate(target_row) if start <= row < stop]
+            assert part.target_times == [every.target_times[s] for s in picked]
+            assert part.inputs.tobytes() == every.inputs[picked].tobytes()
+            assert part.targets.tobytes() == every.targets[picked].tobytes()
+            assert np.shares_memory(part.inputs, raw) or not picked
+            assert not part.inputs.flags.writeable
 
 
 class TestBatchIter:

@@ -161,7 +161,10 @@ def checkpoint_blob(entries=(), trailer=None):
     raw trailer (default: a minimal valid JSON one)."""
     if trailer is None:
         trailer = json.dumps(
-            {"config": {}, "scaler": {}, "seed": 0, "epoch": 0, "val_loss": 0.0}
+            {
+                "config": tiny_config().to_dict(),
+                "scaler": {}, "seed": 0, "epoch": 0, "val_loss": 0.0,
+            }
         ).encode()
     parts = [MAGIC, struct.pack("<I", len(entries))]
     for name, dims, payload in entries:
@@ -290,10 +293,17 @@ class TestCheckpoint:
             (checkpoint_blob(trailer=b"{not json"), "malformed"),
             (checkpoint_blob(trailer=b"[1, 2]"), "not a JSON object"),
             (checkpoint_blob(trailer=b'{"config": 5, "scaler": {}, "seed": 0, "epoch": 0}'), "config"),
+            (
+                checkpoint_blob(
+                    trailer=b'{"config": {}, "scaler": {}, "seed": 0, "epoch": 0, "val_loss": 0}'
+                ),
+                "not a model config",
+            ),
         ],
         ids=[
             "garbage", "no-scaler", "overflowing-dims", "too-many-dims", "name-not-utf8",
             "trailer-not-utf8", "trailer-not-json", "trailer-not-object", "config-not-object",
+            "config-not-a-model",
         ],
     )
     def test_malformed_raises_naming_path(self, tmp_path, blob, reason):
