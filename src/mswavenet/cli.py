@@ -130,20 +130,7 @@ def cmd_export_adjacency(cfg: RunConfig, args) -> int:
 def cmd_gen_synthetic(cfg: RunConfig, args) -> int:
     out_dir = cfg["out.dir"]
     os.makedirs(out_dir, exist_ok=True)
-    n = cfg["synth.nodes"]
-    graph_kind = cfg["synth.graph"]
-    adjacency = (
-        synthetic.cycle_adjacency(n) if graph_kind == "cycle" else synthetic.chain_adjacency(n)
-    )
-    spec = synthetic.SyntheticSpec(
-        num_nodes=n,
-        true_adjacency=adjacency,
-        ar_coefficient=cfg["synth.rho"],
-        noise_std=cfg["synth.sigma"],
-        length=cfg["synth.length"],
-        seed=cfg["seed"],
-        shift=cfg["synth.shift"],
-    )
+    spec = cfg.synthetic_spec()
     series = synthetic.generate(spec)
     for s in series:
         path = os.path.join(out_dir, f"{s.station_name}.csv")
@@ -162,7 +149,7 @@ def cmd_gen_synthetic(cfg: RunConfig, args) -> int:
         "length": spec.length,
         "seed": spec.seed,
         "shift": spec.shift,
-        "graph": graph_kind,
+        "graph": spec.graph,
         "node_order": [s.station_name for s in series],
     }
     sidecar_path = os.path.join(out_dir, "truth.json")
@@ -208,7 +195,10 @@ def _load_checkpoint(args, cli_cfg: RunConfig):
     for key in ("data.dir", "out.dir"):
         if cli_cfg[key]:
             values[key] = cli_cfg[key]
-    return ckpt, RunConfig(values)
+    try:
+        return ckpt, RunConfig(values)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.checkpoint}: run_config:\n{exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

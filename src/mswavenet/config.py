@@ -8,6 +8,7 @@ Every key has a typed default below; overrides are applied with
 from __future__ import annotations
 
 import io
+import math
 import re
 import warnings
 
@@ -44,8 +45,65 @@ DEFAULTS = {
 STANDARD_HORIZONS = (6, 12, 18, 24)
 
 
+# synth.* key (and the run seed) -> the SyntheticSpec field it sets
+SYNTH_FIELDS = {
+    "synth.nodes": "num_nodes",
+    "synth.length": "length",
+    "synth.rho": "ar_coefficient",
+    "synth.sigma": "noise_std",
+    "synth.shift": "shift",
+    "synth.graph": "graph",
+    "seed": "seed",
+}
+# how errors name the ModelConfig fields set from the station lists; every
+# other field is set by the model.<field> key of its name
+_STATION_FIELDS = {
+    "num_nodes": "data.node_order (its length)",
+    "target_nodes": "data.target_nodes (as indices)",
+}
+
+
 class ConfigError(ValueError):
-    pass
+    """A setting that cannot be used: ``key`` names it when one setting is
+    at fault, and ``reason`` says what is wrong with it."""
+
+    def __init__(self, reason, key=None):
+        super().__init__(f"{key}: {reason}" if key else reason)
+        self.key = key
+        self.reason = reason
+
+
+def int_at_least(value, low: int) -> bool:
+    """True for an int >= low; a bool is not an int here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def finite_number(value) -> bool:
+    """True for an int or a finite float; a bool is neither here."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _type_problem(key, value):
+    """Why value cannot stand for key, or None: a value must be an instance
+    of its default's type, where an int may stand for a float, a bool
+    stands for neither, and a float must be finite."""
+    kind = type(DEFAULTS[key])
+    if kind is float:
+        return None if finite_number(value) else f"expected a finite number, got {value!r}"
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return None
+    return f"expected {kind.__name__}, got {value!r}"
+
+
+def _check(build, key_of, errors) -> None:
+    """Build a component of the run; record its ConfigError as a line naming
+    key_of(field), the run key that sets the faulty field."""
+    try:
+        build()
+    except ConfigError as exc:
+        errors.append(f"{key_of(exc.key)}: {exc.reason}")
 
 
 def read_utf8(path, error) -> str:
@@ -115,8 +173,10 @@ class RunConfig:
         return self.values[key]
 
     def validate(self):
-        errors = []
         v = self.values
+        errors = [f"{k}: {why}" for k in sorted(v) if (why := _type_problem(k, v[k]))]
+        if errors:
+            raise ConfigError("\n".join(errors))
         if v["train.lr"] <= 0:
             errors.append("train.lr must be positive")
         if v["train.epochs"] < 1:
@@ -127,28 +187,21 @@ class RunConfig:
             errors.append("train.factor must lie in (0, 1)")
         if v["train.patience"] < 1:
             errors.append("train.patience must be >= 1")
-        if v["model.horizon"] < 1:
-            errors.append("model.horizon must be >= 1")
-        if v["model.window"] < 1:
-            errors.append("model.window must be >= 1")
-        for key in ("model.num_blocks", "model.residual_channels", "model.skip_channels",
-                    "model.embedding_width"):
-            if v[key] < 1:
-                errors.append(f"{key} must be >= 1")
-        if v["model.variant"] not in ("single_scale", "multi_scale"):
-            errors.append(f"model.variant {v['model.variant']!r} unknown")
-        if v["synth.graph"] not in ("cycle", "chain"):
-            errors.append(f"synth.graph {v['synth.graph']!r} unknown")
         for key in ("split.train_years", "split.val_years", "split.test_years"):
             try:
                 self.years(key)
             except ConfigError as exc:
                 errors.append(str(exc))
         nodes = self.node_order()
-        targets = self.target_node_names()
-        bad = [t for t in targets if t not in nodes]
-        if bad:
-            errors.append(f"target nodes not in node order: {bad}")
+        twice = sorted({n for n in nodes if nodes.count(n) > 1})
+        if twice:
+            errors.append(f"data.node_order: lists {twice} more than once")
+        unknown = [t for t in self.target_node_names() if t not in nodes]
+        if unknown:
+            errors.append(f"data.target_nodes: {unknown} not in data.node_order")
+        else:
+            _check(self.model_config, lambda f: _STATION_FIELDS.get(f, f"model.{f}"), errors)
+        _check(self.synthetic_spec, {f: k for k, f in SYNTH_FIELDS.items()}.get, errors)
         if errors:
             raise ConfigError("\n".join(errors))
         if v["model.horizon"] not in STANDARD_HORIZONS:
@@ -178,26 +231,25 @@ class RunConfig:
             m = re.fullmatch(r"\s*(\d{1,4})\s*(?:-\s*(\d{1,4})\s*)?", part)
             lo, hi = (int(m[1]), int(m[2] or m[1])) if m else (0, 0)
             if not 1 <= lo <= hi:  # datetime years run 1-9999
-                raise ConfigError(f"{key}: {part.strip()!r} is not a year or an ascending range")
+                raise ConfigError(f"{part.strip()!r} is not a year or an ascending range", key)
             out.extend(range(lo, hi + 1))
         return out
 
     def model_config(self):
+        """The ModelConfig of this run: each model.<field> key sets the field
+        of that name, and the station lists set num_nodes and target_nodes."""
         from .model import ModelConfig
 
-        v = self.values
+        fields = {k[len("model."):]: v for k, v in self.values.items() if k.startswith("model.")}
         return ModelConfig(
-            variant=v["model.variant"],
-            num_blocks=v["model.num_blocks"],
-            residual_channels=v["model.residual_channels"],
-            skip_channels=v["model.skip_channels"],
-            embedding_width=v["model.embedding_width"],
-            window=v["model.window"],
-            horizon=v["model.horizon"],
-            num_nodes=len(self.node_order()),
-            num_features=4,
-            target_nodes=self.target_node_indices(),
+            **fields, num_nodes=len(self.node_order()), target_nodes=self.target_node_indices()
         )
+
+    def synthetic_spec(self):
+        """The SyntheticSpec of this run, its fields set through SYNTH_FIELDS."""
+        from .synthetic import SyntheticSpec
+
+        return SyntheticSpec(**{field: self.values[k] for k, field in SYNTH_FIELDS.items()})
 
     def to_dict(self) -> dict:
         return dict(self.values)

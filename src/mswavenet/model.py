@@ -11,26 +11,39 @@ block run as one causal convolution composed from their parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import graph
 from .autodiff import Variable
-from .config import ConfigError
+from .config import ConfigError, int_at_least
 
 SINGLE_SCALE = "single_scale"
 MULTI_SCALE = "multi_scale"
 
 
+# the paper's branch layout of block i, as (kernel_size, dilation) pairs
+_PAPER_BRANCHES = {
+    MULTI_SCALE: lambda i: [(2, 1), (3, 2), (6, 3)],
+    SINGLE_SCALE: lambda i: [(2, 2**i)],
+}
+_POSITIVE_INTS = (
+    "num_blocks", "residual_channels", "skip_channels", "embedding_width",
+    "window", "horizon", "num_nodes", "num_features",
+)
+
+
 def default_branch_specs(variant: str, num_blocks: int):
     """Per-block (kernel_size, dilation) branch lists."""
-    if variant == MULTI_SCALE:
-        return [[(2, 1), (3, 2), (6, 3)] for _ in range(num_blocks)]
-    if variant == SINGLE_SCALE:
-        return [[(2, 2**i)] for i in range(num_blocks)]
-    raise ConfigError(f"unknown variant {variant!r}")
+    return ModelConfig(variant=variant, num_blocks=num_blocks).branch_specs
+
+
+def _positive_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(
+        int_at_least(v, 1) for v in value
+    )
 
 
 @dataclass
@@ -40,7 +53,7 @@ class ModelConfig:
     residual_channels: int = 32
     skip_channels: int = 64
     head_channels: tuple = (128, 64)
-    branch_specs: list = None  # list (per block) of [(K, d), ...]
+    branch_specs: list = None  # list (per block) of [(K, d), ...]; None: the paper's
     embedding_width: int = 10
     window: int = 48
     horizon: int = 6
@@ -49,50 +62,70 @@ class ModelConfig:
     target_nodes: list = field(default_factory=lambda: [0, 3, 4])
 
     def __post_init__(self):
-        if self.branch_specs is None:
-            self.branch_specs = default_branch_specs(self.variant, self.num_blocks)
         self.validate()
+        if self.branch_specs is None:
+            self.branch_specs = [_PAPER_BRANCHES[self.variant](i) for i in range(self.num_blocks)]
+        self.head_channels = tuple(self.head_channels)
+        self.branch_specs = [[tuple(b) for b in block] for block in self.branch_specs]
+        self.target_nodes = list(self.target_nodes)
 
     def validate(self):
-        if self.num_blocks < 1:
-            raise ConfigError("num_blocks must be >= 1")
-        if len(self.branch_specs) != self.num_blocks:
-            raise ConfigError("branch_specs must list one branch set per block")
-        for branches in self.branch_specs:
-            if not branches:
-                raise ConfigError("every block needs at least one branch")
+        """Check every field's type and range; raise ConfigError naming the
+        first bad field. A branch_specs of None stands for the paper's."""
+        if self.variant not in tuple(_PAPER_BRANCHES):
+            raise ConfigError(f"unknown variant {self.variant!r}", "variant")
+        for name in _POSITIVE_INTS:
+            value = getattr(self, name)
+            if not int_at_least(value, 1):
+                raise ConfigError(f"must be a positive int, got {value!r}", name)
+        if not _positive_pair(self.head_channels):
+            raise ConfigError(f"must be two positive ints, got {self.head_channels!r}",
+                              "head_channels")
+        targets = self.target_nodes
+        if not (
+            isinstance(targets, (list, tuple)) and targets
+            and all(int_at_least(t, 0) and t < self.num_nodes for t in targets)
+            and len(set(targets)) == len(targets)
+        ):
+            raise ConfigError(
+                f"must be distinct node indices in [0, {self.num_nodes}), at least one, "
+                f"got {targets!r}",
+                "target_nodes",
+            )
+        specs = self.branch_specs
+        if specs is None:
+            return
+        if not isinstance(specs, (list, tuple)) or len(specs) != self.num_blocks:
+            raise ConfigError(f"must list one branch set per block, got {specs!r}", "branch_specs")
+        for branches in specs:
+            if not isinstance(branches, (list, tuple)) or not all(map(_positive_pair, branches)):
+                raise ConfigError(
+                    f"every branch must be a (kernel_size, dilation) pair of positive ints, "
+                    f"got {branches!r}",
+                    "branch_specs",
+                )
             if self.variant == SINGLE_SCALE and len(branches) != 1:
-                raise ConfigError("single_scale blocks use exactly one branch")
+                raise ConfigError("single_scale blocks use exactly one branch", "branch_specs")
             if self.variant == MULTI_SCALE and len(branches) < 2:
-                raise ConfigError("multi_scale blocks need >= 2 branches")
-            for k, d in branches:
-                if k < 1 or d < 1:
-                    raise ConfigError("kernel size and dilation must be >= 1")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
+                raise ConfigError("multi_scale blocks need >= 2 branches", "branch_specs")
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "num_blocks": self.num_blocks,
-            "residual_channels": self.residual_channels,
-            "skip_channels": self.skip_channels,
-            "head_channels": list(self.head_channels),
-            "branch_specs": [[list(b) for b in block] for block in self.branch_specs],
-            "embedding_width": self.embedding_width,
-            "window": self.window,
-            "horizon": self.horizon,
-            "num_nodes": self.num_nodes,
-            "num_features": self.num_features,
-            "target_nodes": list(self.target_nodes),
-        }
+        """Every field, with tuples as lists: the form JSON reads back."""
+        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["head_channels"] = tuple(d["head_channels"])
-        d["branch_specs"] = [[tuple(b) for b in block] for block in d["branch_specs"]]
+        names = {f.name for f in fields(cls)}
+        if set(d) != names:
+            raise ConfigError(
+                f"model config keys: missing {sorted(names - set(d))}, "
+                f"unexpected {sorted(set(d) - names)}"
+            )
         return cls(**d)
+
+
+def _as_lists(value):
+    return [_as_lists(v) for v in value] if isinstance(value, (list, tuple)) else value
 
 
 def receptive_field(config: ModelConfig) -> int:

@@ -14,17 +14,18 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from .config import ConfigError, finite_number, int_at_least
 from .data import StationSeries
 
 
-class SyntheticSpecError(ValueError):
+class SyntheticSpecError(ConfigError):
     pass
 
 
 @dataclass
 class SyntheticSpec:
     num_nodes: int = 5
-    true_adjacency: np.ndarray = None  # row-stochastic [N, N]
+    true_adjacency: np.ndarray = None  # row-stochastic [N, N]; None: GRAPHS[graph]
     ar_coefficient: float = 0.9
     noise_std: float = 0.1
     length: int = 2000
@@ -33,27 +34,40 @@ class SyntheticSpec:
     start: datetime = field(
         default_factory=lambda: datetime(2000, 1, 1, tzinfo=timezone.utc)
     )
+    graph: str = "cycle"  # names the builder of the default true_adjacency
 
     def __post_init__(self):
+        """Check every field; errors name the field."""
+        for name, low in (("num_nodes", 1), ("length", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not int_at_least(value, low):
+                raise SyntheticSpecError(f"must be an int >= {low}, got {value!r}", name)
+        for name in ("ar_coefficient", "noise_std", "shift"):
+            value = getattr(self, name)
+            if not finite_number(value):
+                raise SyntheticSpecError(f"must be a finite number, got {value!r}", name)
+        if not 0.0 < self.ar_coefficient < 1.0:
+            raise SyntheticSpecError("must lie in (0, 1) for stability", "ar_coefficient")
+        if self.noise_std < 0.0:
+            raise SyntheticSpecError("must be >= 0", "noise_std")
+        if self.graph not in tuple(GRAPHS):
+            raise SyntheticSpecError(f"unknown graph {self.graph!r}", "graph")
         if self.true_adjacency is None:
-            self.true_adjacency = cycle_adjacency(self.num_nodes)
+            self.true_adjacency = GRAPHS[self.graph](self.num_nodes)
         self.true_adjacency = np.asarray(self.true_adjacency, dtype=np.float64)
         if self.true_adjacency.shape != (self.num_nodes, self.num_nodes):
-            raise SyntheticSpecError("true_adjacency must be N x N")
+            raise SyntheticSpecError("must be N x N", "true_adjacency")
         if not np.allclose(self.true_adjacency.sum(axis=1), 1.0, atol=1e-9):
-            raise SyntheticSpecError("true_adjacency rows must sum to 1")
-        if not 0.0 < self.ar_coefficient < 1.0:
-            raise SyntheticSpecError("ar_coefficient must lie in (0, 1) for stability")
-        if self.noise_std < 0.0:
-            raise SyntheticSpecError("noise_std must be >= 0")
+            raise SyntheticSpecError("rows must sum to 1", "true_adjacency")
 
 
 def cycle_adjacency(n: int, self_weight: float = 0.3) -> np.ndarray:
-    """Directed cycle: node i driven mostly by node i-1."""
+    """Directed cycle: node i driven mostly by node i-1 (a single node is
+    its own predecessor and gets the full weight)."""
     a = np.zeros((n, n))
     for i in range(n):
         a[i, i] = self_weight
-        a[i, (i - 1) % n] = 1.0 - self_weight
+        a[i, (i - 1) % n] += 1.0 - self_weight
     return a
 
 
@@ -65,6 +79,9 @@ def chain_adjacency(n: int, self_weight: float = 0.3) -> np.ndarray:
         a[i, i] = self_weight
         a[i, i - 1] = 1.0 - self_weight
     return a
+
+
+GRAPHS = {"cycle": cycle_adjacency, "chain": chain_adjacency}
 
 
 def _simulate_driven(spec: SyntheticSpec, rng) -> np.ndarray:

@@ -323,6 +323,8 @@ def train(
             val_loss = _eval_loss(net, val_ds.inputs, val_targets)
         else:
             val_loss = train_loss
+        if not math.isfinite(val_loss):
+            raise TrainingError(f"validation loss {val_loss} at epoch {epoch}")
         state["epoch"] = epoch
         state["val_loss"] = val_loss
         events = scheduler.step(val_loss)

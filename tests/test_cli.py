@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mswavenet.cli import main
 from mswavenet.config import DEFAULTS, ConfigError, RunConfig, load_run_config
+from mswavenet.model import ModelConfig
 from mswavenet.training import Checkpoint
 
 NODES = "node0,node1,node2"
@@ -27,6 +28,12 @@ _lines = st.one_of(
 _config_files = st.one_of(
     st.binary(max_size=64),
     st.lists(_lines, max_size=6).map(lambda lines: "\n".join(lines).encode()),
+)
+# a JSON value in place of a typed one, as a checkpoint's run_config can hold
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
 )
 
 
@@ -231,6 +238,42 @@ class TestBadInputExitsOne:
         assert rc == 1
         assert f"{bad}: trailer config is not a model config" in capfd.readouterr().err
 
+    @staticmethod
+    def checkpoint_with(workdir, tmp_path, part, key, value):
+        """Path of a copy of the trained checkpoint with ckpt.<part>[key] = value."""
+        ckpt = Checkpoint.load(workdir["checkpoint"])
+        getattr(ckpt, part)[key] = value
+        bad = tmp_path / "edited.bin"
+        ckpt.save(bad)
+        return bad
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("residual_channels", "x"), ("residual_channels", 0), ("window", 0),
+            ("head_channels", ["a"]), ("variant", "zzz"), ("target_nodes", [5]),
+            ("horizon", True),
+        ],
+    )
+    def test_checkpoint_model_config_value_named(self, workdir, tmp_path, capfd, key, value):
+        bad = self.checkpoint_with(workdir, tmp_path, "config", key, value)
+        rc = main(workdir["argv"] + ["export-adjacency", str(bad)])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert f"{bad}: trailer config is not a model config" in err
+        assert f"{key}: " in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("train.lr", "x"), ("model.window", 2.5), ("seed", None)]
+    )
+    def test_checkpoint_run_config_value_named(self, workdir, tmp_path, capfd, key, value):
+        bad = self.checkpoint_with(workdir, tmp_path, "run_config", key, value)
+        rc = main(workdir["argv"] + ["export-adjacency", str(bad)])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert f"{bad}: run_config" in err
+        assert f"{key}: " in err
+
     def test_non_consecutive_split_years(self, workdir, capfd):
         years = ["split.train_years=2000,2002", "split.val_years=", "split.test_years=2001"]
         rc = main(workdir["argv"] + [a for y in years for a in ("--set", y)] + ["train"])
@@ -249,6 +292,62 @@ class TestConfigHandling:
         rc = main(workdir["argv"] + ["--set", f"{key}=0", "train"])
         assert rc == 1
         assert key in capfd.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
+            ("train.lr=nan", "train.lr"),
+            ("train.lr=inf", "train.lr"),
+            ("synth.sigma=nan", "synth.sigma"),
+            ("synth.rho=2", "synth.rho"),
+            ("synth.sigma=-1", "synth.sigma"),
+            ("synth.length=0", "synth.length"),
+            ("synth.nodes=0", "synth.nodes"),
+            ("synth.graph=star", "synth.graph"),
+            ("seed=-1", "seed"),
+            ("data.target_nodes=", "data.target_nodes"),
+            ("data.target_nodes=Esbjerg,Esbjerg", "data.target_nodes"),
+            ("data.node_order=Esbjerg,Odense,Roskilde,Odense", "data.node_order"),
+        ],
+    )
+    def test_bad_setting_exits_one_naming_key(self, tmp_path, capfd, setting, key):
+        rc = main(
+            ["--set", f"out.dir={tmp_path}", "--set", "synth.length=48", "--set", setting,
+             "gen-synthetic"]
+        )
+        assert rc == 1
+        assert key in capfd.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_keys_checked_for_every_command(self, workdir, capfd):
+        rc = main(workdir["argv"] + ["--set", "synth.rho=2", "train"])
+        assert rc == 1
+        assert "synth.rho: must lie in (0, 1)" in capfd.readouterr().err
+
+    def test_one_node_synthetic_data(self, tmp_path, capfd):
+        rc = main(
+            ["--set", f"out.dir={tmp_path}", "--set", "synth.length=48", "--set", "synth.nodes=1",
+             "gen-synthetic"]
+        )
+        assert rc == 0
+        truth = json.loads((tmp_path / "truth.json").read_text())
+        assert truth["true_adjacency"] == [[1.0]]
+        assert truth["node_order"] == ["node0"]
+
+    def test_cli_defaults_are_the_paper_model(self):
+        assert RunConfig().model_config() == ModelConfig(num_nodes=5, target_nodes=[0, 3, 4])
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(sorted(DEFAULTS)), value=_json_values)
+    def test_one_json_value_builds_or_raises_config_error(self, key, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # non-standard horizons
+            try:
+                cfg = RunConfig({key: value})
+            except ConfigError:
+                return
+        cfg.model_config()
+        cfg.synthetic_spec()
 
     def test_all_file_errors_reported_at_once(self, tmp_path):
         bad = tmp_path / "bad.conf"

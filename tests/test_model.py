@@ -62,6 +62,72 @@ class TestModelConfig:
         assert cfg2 == cfg
 
 
+    def test_from_dict_needs_every_field(self):
+        d = small_config().to_dict()
+        del d["window"]
+        with pytest.raises(ConfigError, match=r"missing \['window'\]"):
+            ModelConfig.from_dict(d)
+
+    def test_to_dict_matches_explicit_mapping(self):
+        cfg = small_config()
+        assert cfg.to_dict() == {
+            "variant": cfg.variant,
+            "num_blocks": cfg.num_blocks,
+            "residual_channels": cfg.residual_channels,
+            "skip_channels": cfg.skip_channels,
+            "head_channels": list(cfg.head_channels),
+            "branch_specs": [[list(b) for b in block] for block in cfg.branch_specs],
+            "embedding_width": cfg.embedding_width,
+            "window": cfg.window,
+            "horizon": cfg.horizon,
+            "num_nodes": cfg.num_nodes,
+            "num_features": cfg.num_features,
+            "target_nodes": list(cfg.target_nodes),
+        }
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("variant", "zzz"),
+            ("variant", ["multi_scale"]),
+            ("num_blocks", 0),
+            ("residual_channels", "x"),
+            ("skip_channels", 2.0),
+            ("embedding_width", True),
+            ("window", 0),
+            ("horizon", True),
+            ("num_nodes", None),
+            ("num_features", -1),
+            ("head_channels", ("a",)),
+            ("head_channels", (4, 0)),
+            ("head_channels", (1, 2, 3)),
+            ("target_nodes", []),
+            ("target_nodes", [5]),
+            ("target_nodes", [0, 0]),
+            ("target_nodes", [-1]),
+            ("target_nodes", [True]),
+            ("target_nodes", "02"),
+            ("branch_specs", [[(2, 1), (3, 2)]]),
+            ("branch_specs", [[(2, 1), (3, 2)], [(0, 1), (3, 2)]]),
+            ("branch_specs", [[(2, 1), (3, 2)], [(2,), (3, 2)]]),
+            ("branch_specs", [[(2, 1), (3, 2)], [(2, 1)]]),
+            ("branch_specs", [[(2, 1), (3, 2)], "ab"]),
+        ],
+    )
+    def test_every_field_checked(self, field, value):
+        with pytest.raises(ConfigError) as exc:
+            small_config(**{field: value})
+        assert exc.value.key == field
+        assert str(exc.value).startswith(f"{field}: ")
+
+    def test_sequences_stored_in_one_form(self):
+        cfg = small_config(head_channels=[8, 5], target_nodes=(0, 2),
+                           branch_specs=[[[2, 1], [3, 2]], ([2, 1], (6, 3))])
+        assert cfg.head_channels == (8, 5)
+        assert cfg.target_nodes == [0, 2]
+        assert cfg.branch_specs == [[(2, 1), (3, 2)], [(2, 1), (6, 3)]]
+
+
 class TestReceptiveField:
     def test_single_branch_formula(self):
         # one block, K=3 d=2: rf = 1 + (3-1)*2 = 5

@@ -33,8 +33,35 @@ class TestSpecValidation:
             SyntheticSpec(ar_coefficient=1.0)
 
     def test_adjacency_builders_row_stochastic(self):
-        for a in (cycle_adjacency(5), chain_adjacency(5), cycle_adjacency(2, 0.1)):
+        cycles = [cycle_adjacency(n) for n in range(1, 7)]  # one node is its own predecessor
+        for a in (*cycles, chain_adjacency(5), cycle_adjacency(2, 0.1)):
             np.testing.assert_allclose(a.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_nodes", 0),
+            ("num_nodes", True),
+            ("length", 0),
+            ("length", 2.5),
+            ("seed", -1),
+            ("ar_coefficient", float("nan")),
+            ("ar_coefficient", 2.0),
+            ("noise_std", float("nan")),
+            ("noise_std", -1.0),
+            ("shift", float("inf")),
+            ("shift", "10"),
+            ("graph", "star"),
+        ],
+    )
+    def test_every_field_checked(self, field, value):
+        with pytest.raises(SyntheticSpecError) as exc:
+            SyntheticSpec(**{field: value})
+        assert exc.value.key == field
+
+    def test_graph_names_the_default_adjacency(self):
+        spec = SyntheticSpec(num_nodes=4, graph="chain")
+        np.testing.assert_array_equal(spec.true_adjacency, chain_adjacency(4))
 
 
 class TestGenerate:

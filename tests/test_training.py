@@ -195,9 +195,31 @@ _entries = st.lists(
     ),
     max_size=3,
 )
+
+
+def trailer_with_config(key, value):
+    """A valid trailer whose model config has config[key] = value."""
+    config = tiny_config().to_dict()
+    config[key] = value
+    trailer = {"config": config, "scaler": {}, "seed": 0, "epoch": 0, "val_loss": 0.0}
+    return json.dumps(trailer).encode()
+
+
+_config_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
 _stgw1_blobs = st.one_of(
     st.binary(max_size=64).map(lambda tail: MAGIC + tail),
     st.builds(checkpoint_blob, _entries, _trailers),
+    st.builds(
+        checkpoint_blob,
+        st.just(()),
+        st.builds(
+            trailer_with_config, st.sampled_from(sorted(tiny_config().to_dict())), _config_values
+        ),
+    ),
 )
 
 
@@ -321,9 +343,11 @@ class TestCheckpoint:
         p = tmp_path / "fuzz.bin"
         p.write_bytes(blob)
         try:
-            Checkpoint.load(p)
+            ckpt = Checkpoint.load(p)
         except CheckpointError as exc:
             assert str(p) in str(exc)
+        else:
+            Network(ModelConfig.from_dict(ckpt.config))  # a loaded config builds its model
 
     def test_trailing_garbage(self, tmp_path, rng):
         p = tmp_path / "g.bin"
@@ -376,6 +400,15 @@ class TestTrainLoop:
         net = Network(tiny_config(), seed=0)
         with pytest.raises(TrainingError):
             train(net, empty, ds, scaler, tmp_path / "ck.bin", epochs=1)
+
+    def test_non_finite_validation_loss_names_epoch(self, tmp_path, rng):
+        # targets, not inputs: relu maps NaN to 0, so the forecasts stay
+        # finite whatever the inputs hold
+        ds, scaler = tiny_dataset(rng)
+        val = dataclasses.replace(ds, targets=np.full(ds.targets.shape, np.inf))
+        net = Network(tiny_config(), seed=0)
+        with pytest.raises(TrainingError, match="validation loss inf at epoch 1"):
+            train(net, ds, val, scaler, tmp_path / "ck.bin", epochs=4, batch_size=16, seed=0)
 
     def test_determinism(self, tmp_path, rng):
         ds, scaler = tiny_dataset(rng)
