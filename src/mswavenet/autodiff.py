@@ -7,10 +7,22 @@ a gradient tape (topologically ordered node list) and traverses it in
 reverse, accumulating gradients by summation so a Variable reused in
 several places (e.g. a shared adjacency matrix) receives the sum of all
 its partials.
+
+Recording rule: an op's output keeps its parents and backward closure only
+while recording is on and at least one parent has ``requires_grad``.
+Otherwise it stores neither and has ``requires_grad=False``: nothing keeps
+the buffers its backward would have read (an im2col copy, the gate's tanh
+and sigmoid), and each intermediate is freed once the next op has read it.
+Recording is on by default and off inside ``with no_grad():``, so a
+forward there builds no tape; the same ops run in the same order and give
+the same values. ``no_grad`` nests and restores the previous state on
+exit, also on an exception. Leaf Variables keep the ``requires_grad`` they
+are built with, and ``backward`` rejects a loss without it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -18,6 +30,21 @@ import numpy as np
 
 class ShapeMismatchError(ValueError):
     """Raised when operand shapes are incompatible for an operation."""
+
+
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside this scope (see the module docstring)."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Variable:
@@ -32,8 +59,11 @@ class Variable:
     def __init__(self, value, parents=(), backward_fn=None, requires_grad=True):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        parents = tuple(parents)
+        if parents and not (_recording and any(p.requires_grad for p in parents)):
+            parents, backward_fn, requires_grad = (), None, False
         self.requires_grad = bool(requires_grad)
-        self.parents = tuple(parents)
+        self.parents = parents
         self._backward = backward_fn
 
     @property
@@ -91,6 +121,11 @@ def backward(loss: Variable) -> None:
     if loss.value.shape != ():
         raise ShapeMismatchError(
             f"backward requires a scalar loss, got shape {loss.value.shape}"
+        )
+    if not loss.requires_grad:
+        raise RuntimeError(
+            "backward: the loss has requires_grad=False, so no gradient can reach "
+            "a parameter (was it built under no_grad()?)"
         )
     tape = GradientTape(loss)
     loss.grad = np.ones_like(loss.value)
@@ -186,11 +221,11 @@ def sigmoid(x) -> Variable:
 
 def relu(x) -> Variable:
     x = as_variable(x)
-    mask = x.value > 0
-    out_val = np.where(mask, x.value, 0.0)
+    out_val = np.maximum(x.value, 0.0)  # keeps NaN, unlike a mask select
 
     def backward_fn(g):
-        x.accumulate_grad(g * mask)
+        # out > 0 equals x > 0 for every input, NaN included
+        x.accumulate_grad(g * (out_val > 0))
 
     return Variable(out_val, (x,), backward_fn)
 

@@ -14,6 +14,7 @@ import os
 import sys
 from datetime import timedelta
 
+from . import autodiff as ad
 from . import pipeline, synthetic, training
 from .config import ConfigError, RunConfig, load_run_config
 from .data import MinMaxScaler, PipelineError, assemble, sliding_windows
@@ -106,7 +107,8 @@ def cmd_predict(cfg: RunConfig, args) -> int:
         )
     x = sliding_windows(scaler.apply(raw[-window:]), window)
     net = ckpt.build_network(node_order=node_order)
-    pred_norm = net.forward(x).value[0]
+    with ad.no_grad():
+        pred_norm = net.forward(x).value[0]
     when = timestamps[-1] + timedelta(hours=horizon)
     target_idx = cfg.target_node_indices()
     for j, node in enumerate(target_idx):
@@ -187,7 +189,8 @@ def cmd_dump_plot_data(cfg: RunConfig, args) -> int:
 def _load_checkpoint(args, cli_cfg: RunConfig):
     """(checkpoint, config) for a command run on args.checkpoint. The config
     is the RunConfig stored in the checkpoint, with CLI overrides for data
-    location and output directory, or the CLI config if none is stored."""
+    location and output directory, or the CLI config if none is stored. A
+    stored run config must describe the stored model, field by field."""
     ckpt = Checkpoint.load(args.checkpoint)
     if ckpt.run_config is None:
         return ckpt, cli_cfg
@@ -196,9 +199,16 @@ def _load_checkpoint(args, cli_cfg: RunConfig):
         if cli_cfg[key]:
             values[key] = cli_cfg[key]
     try:
-        return ckpt, RunConfig(values)
+        cfg = RunConfig(values)
     except ConfigError as exc:
         raise ConfigError(f"{args.checkpoint}: run_config:\n{exc}") from None
+    for field, value in cfg.model_config().to_dict().items():
+        if ckpt.config[field] != value:
+            raise CheckpointError(
+                f"{args.checkpoint}: run_config does not describe the checkpoint's model: "
+                f"model.{field} is {value!r} in run_config, {ckpt.config[field]!r} in config"
+            )
+    return ckpt, cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

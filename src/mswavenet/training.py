@@ -251,7 +251,8 @@ def _eval_loss(net: Network, inputs, norm_targets, batch_size=256) -> float:
     for start in range(0, inputs.shape[0], batch_size):
         xb = inputs[start : start + batch_size]
         tb = norm_targets[start : start + batch_size]
-        pred = net.forward(xb).value
+        with ad.no_grad():
+            pred = net.forward(xb).value
         total_sq += float(((pred - tb) ** 2).sum())
         n += tb.size
     return total_sq / n
@@ -379,7 +380,8 @@ def predict_physical(net: Network, dataset: DatasetTensor, scaler: MinMaxScaler,
     preds = []
     for start in range(0, len(dataset), batch_size):
         xb = dataset.inputs[start : start + batch_size]
-        preds.append(net.forward(xb).value)
+        with ad.no_grad():
+            preds.append(net.forward(xb).value)
     pred = np.concatenate(preds, axis=0) if preds else np.zeros_like(dataset.targets)
     out = np.empty_like(pred)
     for j, node in enumerate(dataset.target_nodes):

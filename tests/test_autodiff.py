@@ -38,6 +38,14 @@ class TestElementwise:
         ad.backward(ad.total(out))
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
 
+    def test_relu_keeps_nan_and_masks_gradient_like_x_gt_0(self):
+        x_val = np.array([np.nan, -np.inf, np.inf, -1.0, -0.0, 0.0, 2.0])
+        x = Variable(x_val)
+        out = ad.relu(x)
+        np.testing.assert_array_equal(out.value, [np.nan, 0.0, np.inf, 0.0, 0.0, 0.0, 2.0])
+        ad.backward(ad.total(out))
+        np.testing.assert_array_equal(x.grad, (x_val > 0).astype(float))
+
     def test_gradient_accumulates_across_reuse(self):
         x = Variable(np.array(2.0))
         y = ad.add(ad.multiply(x, x), x)  # x^2 + x
@@ -305,3 +313,41 @@ def test_tape_topological_order(rng):
     for node in tape.nodes:
         for parent in node.parents:
             assert pos[id(parent)] < pos[id(node)]
+
+
+class TestNoGrad:
+    def test_op_outputs_record_nothing(self, rng):
+        x = Variable(rng.normal(size=(3,)))
+        with ad.no_grad():
+            y = ad.relu(x)
+        assert (y.parents, y._backward, y.requires_grad) == ((), None, False)
+        assert x.requires_grad  # leaves keep their flag
+        # outside no_grad, an op whose parents all lack requires_grad
+        # records nothing either
+        for z in (ad.relu(y), ad.add(np.ones(3), np.ones(3))):
+            assert (z.parents, z._backward, z.requires_grad) == ((), None, False)
+        recorded = ad.add(y, x)
+        assert recorded.parents == (y, x) and recorded.requires_grad
+
+    def test_restored_after_exception(self):
+        x = Variable(np.ones(2))
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("inside")
+        assert ad.relu(x).requires_grad
+
+    def test_nests(self):
+        x = Variable(np.ones(2))
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.relu(x).requires_grad
+            assert not ad.relu(x).requires_grad
+        assert ad.relu(x).requires_grad
+
+    def test_backward_on_a_no_grad_loss_raises(self, rng):
+        p = Variable(rng.normal(size=(3,)))
+        with ad.no_grad():
+            loss = ad.mse_loss(ad.relu(p), np.zeros(3))
+        with pytest.raises(RuntimeError, match="requires_grad=False"):
+            ad.backward(loss)
+        assert p.grad is None

@@ -274,6 +274,16 @@ class TestBadInputExitsOne:
         assert f"{bad}: run_config" in err
         assert f"{key}: " in err
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_run_config_must_describe_the_model(self, workdir, tmp_path, capfd, command):
+        """A valid run_config whose model.window differs from the stored model's."""
+        bad = self.checkpoint_with(workdir, tmp_path, "run_config", "model.window", 16)
+        rc = main(workdir["argv"] + [command, str(bad)])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert f"{bad}: run_config does not describe the checkpoint's model" in err
+        assert "model.window is 16 in run_config, 8 in config" in err
+
     def test_non_consecutive_split_years(self, workdir, capfd):
         years = ["split.train_years=2000,2002", "split.val_years=", "split.test_years=2001"]
         rc = main(workdir["argv"] + [a for y in years for a in ("--set", y)] + ["train"])

@@ -207,6 +207,30 @@ class TestNetworkForward:
         out = net.forward(np.zeros((3, 4, 3, 16)))
         np.testing.assert_array_equal(out.value, np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
+    def test_no_grad_forward_bitwise_equal(self, rng, variant):
+        """Paper size, B=2: the same ops in the same order give the same bits."""
+        net = Network(ModelConfig(variant=variant), seed=0)
+        x = rng.normal(size=(2, 4, 5, 48))
+        recorded = net.forward(x)
+        with ad.no_grad():
+            out = net.forward(x)
+        assert recorded.requires_grad and recorded.parents
+        assert out.value.tobytes() == recorded.value.tobytes()
+        assert (out.parents, out._backward, out.requires_grad) == ((), None, False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_gives_non_finite_forecast(self, rng, bad):
+        net = Network(small_config(), seed=0)
+        x = rng.normal(size=(2, 4, 3, 16))
+        x[0, 2, 1, -1] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf inside the GEMMs
+            out = net.forward(x).value
+            everywhere = net.forward(np.full((1, 4, 3, 16), bad)).value
+        assert not np.isfinite(out[0]).any()
+        assert np.isfinite(out[1]).all()
+        assert not np.isfinite(everywhere).any()
+
     def test_bitwise_determinism(self, rng):
         x = rng.normal(size=(2, 4, 3, 16))
         a = Network(small_config(), seed=11).forward(x).value

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,12 +403,21 @@ class TestTrainLoop:
             train(net, empty, ds, scaler, tmp_path / "ck.bin", epochs=1)
 
     def test_non_finite_validation_loss_names_epoch(self, tmp_path, rng):
-        # targets, not inputs: relu maps NaN to 0, so the forecasts stay
-        # finite whatever the inputs hold
+        # non-finite targets; test_non_finite_validation_inputs_name_epoch
+        # covers non-finite inputs
         ds, scaler = tiny_dataset(rng)
         val = dataclasses.replace(ds, targets=np.full(ds.targets.shape, np.inf))
         net = Network(tiny_config(), seed=0)
         with pytest.raises(TrainingError, match="validation loss inf at epoch 1"):
+            train(net, ds, val, scaler, tmp_path / "ck.bin", epochs=4, batch_size=16, seed=0)
+
+    def test_non_finite_validation_inputs_name_epoch(self, tmp_path, rng):
+        ds, scaler = tiny_dataset(rng)
+        inputs = ds.inputs.copy()
+        inputs[0, WIND_SPEED, 0, -1] = np.nan
+        val = dataclasses.replace(ds, inputs=inputs)
+        net = Network(tiny_config(), seed=0)
+        with pytest.raises(TrainingError, match="validation loss nan at epoch 1"):
             train(net, ds, val, scaler, tmp_path / "ck.bin", epochs=4, batch_size=16, seed=0)
 
     def test_determinism(self, tmp_path, rng):
@@ -497,6 +507,34 @@ class TestMetricsAndBaseline:
         m1 = evaluate(ck, ds, scaler)
         m2 = evaluate(ck, ds, scaler)
         assert (m1.mae, m1.mse) == (m2.mae, m2.mse)
+
+    def test_predict_builds_no_tape(self, rng):
+        """predict_physical on 64 windows of the criterion-5 config peaks at
+        most at a third of one recording forward of the same batch."""
+        cfg = ModelConfig(
+            variant=MULTI_SCALE, num_blocks=4, residual_channels=16, skip_channels=32,
+            head_channels=(32, 16), window=16, horizon=1, num_nodes=5,
+            target_nodes=[0, 1, 2, 3, 4],
+        )
+        net = Network(cfg, seed=0)
+        raw = rng.uniform(0, 20, size=(80, 4, 5))
+        scaler = MinMaxScaler.fit(raw)
+        ds = make_windows(scaler.apply(raw), raw, 16, 1, [0, 1, 2, 3, 4])
+        assert len(ds) == 64
+
+        def peak(fn):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+
+        tracemalloc.start()
+        try:
+            recording = peak(lambda: net.forward(ds.inputs))
+            without_tape = peak(lambda: predict_physical(net, ds, scaler))
+        finally:
+            tracemalloc.stop()
+        assert 3 * without_tape <= recording, (without_tape, recording)
 
     def test_scaler_mismatch_rejected(self, rng):
         ds, scaler = tiny_dataset(rng)
