@@ -8,6 +8,13 @@ reverse, accumulating gradients by summation so a Variable reused in
 several places (e.g. a shared adjacency matrix) receives the sum of all
 its partials.
 
+``backward`` consumes the tape. Once an op output's backward has run, it
+drops its gradient, its closure and its parents and gets
+``requires_grad=False``, so each intermediate, its gradient and the
+buffers its backward read are freed while the walk goes on. Leaves
+(parameters and constants) keep their gradients. A spent loss cannot be
+backpropagated again: a second ``backward`` raises.
+
 Recording rule: an op's output keeps its parents and backward closure only
 while recording is on and at least one parent has ``requires_grad``.
 Otherwise it stores neither and has ``requires_grad=False``: nothing keeps
@@ -91,9 +98,9 @@ class Variable:
 class GradientTape:
     """Topologically ordered record of the nodes reachable from a root.
 
-    Every node's parents precede it in ``nodes``; backward traverses the
-    list in exact reverse order. A tape is built once per backward call
-    and is single-owner.
+    Every node's parents precede it in ``nodes``; backward pops the list
+    from its end, so it visits the nodes in exact reverse order. A tape is
+    built once per backward call and is single-owner.
     """
 
     def __init__(self, root: Variable):
@@ -117,7 +124,9 @@ class GradientTape:
 
 
 def backward(loss: Variable) -> None:
-    """Populate .grad on every Variable reachable from a scalar loss."""
+    """Populate .grad on every leaf Variable reachable from a scalar loss,
+    consuming the tape: each op output is spent once its backward has run
+    (see the module docstring)."""
     if loss.value.shape != ():
         raise ShapeMismatchError(
             f"backward requires a scalar loss, got shape {loss.value.shape}"
@@ -125,13 +134,20 @@ def backward(loss: Variable) -> None:
     if not loss.requires_grad:
         raise RuntimeError(
             "backward: the loss has requires_grad=False, so no gradient can reach "
-            "a parameter (was it built under no_grad()?)"
+            "a parameter (was it built under no_grad(), or has backward already "
+            "consumed its tape?)"
         )
-    tape = GradientTape(loss)
+    nodes = GradientTape(loss).nodes
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(tape.nodes):
+    while nodes:
+        node = nodes.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node.parents:
+            # spent: free the gradient and every buffer the closure holds
+            node.grad = node._backward = None
+            node.parents = ()
+            node.requires_grad = False
 
 
 def as_variable(x) -> Variable:
@@ -442,7 +458,8 @@ def conv_1x1(x, weight, bias) -> Variable:
         raise ShapeMismatchError(
             f"channel mismatch: x {x.value.shape}, weight {weight.value.shape}, bias {bias.value.shape}"
         )
-    out_val = _mix_channels(weight.value, x.value) + bias.value[None, :, None, None]
+    out_val = _mix_channels(weight.value, x.value)
+    out_val += bias.value[None, :, None, None]
 
     def backward_fn(g):
         weight.accumulate_grad(_mix_channels_grad_w(g, x.value))

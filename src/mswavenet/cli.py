@@ -14,12 +14,14 @@ import os
 import sys
 from datetime import timedelta
 
+import numpy as np
+
 from . import autodiff as ad
 from . import pipeline, synthetic, training
 from .config import ConfigError, RunConfig, load_run_config
 from .data import MinMaxScaler, PipelineError, assemble, sliding_windows
 from .graph import export_adjacency
-from .model import Network
+from .model import ModelConfig, Network
 from .training import Checkpoint, CheckpointError, evaluate, persistence_baseline, predict_physical
 
 
@@ -78,6 +80,11 @@ def _metrics_lines(label, metrics):
 def cmd_eval(cfg: RunConfig, args) -> int:
     ckpt, cfg = _load_checkpoint(args, cfg)
     prepared = pipeline.prepare(cfg)
+    if ckpt.scaler != prepared.scaler.state():
+        raise CheckpointError(
+            f"{args.checkpoint}: scaler differs from the one fitted on the training "
+            f"split of {cfg['data.dir']}"
+        )
     metrics = evaluate(ckpt, prepared.test, prepared.scaler)
     baseline = persistence_baseline(prepared.test, prepared.scaler)
     lines = cfg.echo_lines()
@@ -186,12 +193,55 @@ def cmd_dump_plot_data(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _check_parts(path, ckpt: Checkpoint):
+    """Raise CheckpointError naming path and key unless the parameters fit
+    the stored model (names, shapes, finite values) and the scaler holds
+    finite [num_features, num_nodes] mins <= maxs."""
+    model = ModelConfig.from_dict(ckpt.config)
+    shapes = {name: p.shape for name, p in Network(model).parameters()}
+    for name in sorted(shapes.keys() | ckpt.params.keys()):
+        if name not in ckpt.params:
+            raise CheckpointError(f"{path}: params.{name}: missing")
+        if name not in shapes:
+            raise CheckpointError(f"{path}: params.{name}: not a parameter of the model")
+        value = ckpt.params[name]
+        if value.shape != shapes[name]:
+            raise CheckpointError(
+                f"{path}: params.{name}: shape {value.shape}, the model's is {shapes[name]}"
+            )
+        if not np.all(np.isfinite(value)):
+            raise CheckpointError(f"{path}: params.{name}: non-finite value")
+    scaler = ckpt.scaler
+    if set(scaler) != {"mins", "maxs"}:
+        raise CheckpointError(
+            f"{path}: scaler keys are {sorted(scaler)}, expected ['maxs', 'mins']"
+        )
+    shape = (model.num_features, model.num_nodes)
+    bounds = {}
+    for key in ("mins", "maxs"):
+        try:
+            bounds[key] = value = np.asarray(scaler[key], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise CheckpointError(f"{path}: scaler.{key}: not an array of numbers") from None
+        if value.shape != shape:
+            raise CheckpointError(
+                f"{path}: scaler.{key}: shape {value.shape}, the model's is {shape}"
+            )
+        if not np.all(np.isfinite(value)):
+            raise CheckpointError(f"{path}: scaler.{key}: non-finite value")
+    if np.any(bounds["maxs"] < bounds["mins"]):
+        raise CheckpointError(f"{path}: scaler.maxs: below scaler.mins")
+
+
 def _load_checkpoint(args, cli_cfg: RunConfig):
-    """(checkpoint, config) for a command run on args.checkpoint. The config
-    is the RunConfig stored in the checkpoint, with CLI overrides for data
-    location and output directory, or the CLI config if none is stored. A
-    stored run config must describe the stored model, field by field."""
+    """(checkpoint, config) for a command run on args.checkpoint. The
+    checkpoint's parts must agree with its model config (_check_parts). The
+    config is the RunConfig stored in the checkpoint, with CLI overrides for
+    data location and output directory, or the CLI config if none is
+    stored. A stored run config must describe the stored model, field by
+    field."""
     ckpt = Checkpoint.load(args.checkpoint)
+    _check_parts(args.checkpoint, ckpt)
     if ckpt.run_config is None:
         return ckpt, cli_cfg
     values = dict(ckpt.run_config)

@@ -7,9 +7,11 @@ de-normalize predictions back to m/s first.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
+import platform
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -238,6 +240,33 @@ class TrainResult:
     log: list = field(default_factory=list)  # per-epoch dicts
 
 
+# glibc mallopt(3) parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_malloc_policy_set = False
+
+
+def set_malloc_policy() -> bool:
+    """Keep freed memory in the heap for the next training step.
+
+    By default glibc serves each block above its mmap threshold (which it
+    raises to at most 32 MB) with a fresh mapping, and hands free memory at
+    the heap top back to the kernel beyond its trim threshold. The buffers
+    a step frees then fault in again, page by page, on the next forward.
+    Raising both thresholds keeps them in the heap for reuse. The policy
+    holds for the whole process and is set once; off glibc this is a
+    no-op. Returns whether this call set it.
+    """
+    global _malloc_policy_set
+    if _malloc_policy_set or platform.libc_ver()[0] != "glibc":
+        return False
+    libc = ctypes.CDLL(None)
+    libc.mallopt(_M_MMAP_THRESHOLD, 256 << 20)
+    libc.mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    _malloc_policy_set = True
+    return True
+
+
 def _normalized_targets(dataset: DatasetTensor, scaler: MinMaxScaler) -> np.ndarray:
     out = np.empty_like(dataset.targets)
     for j, node in enumerate(dataset.target_nodes):
@@ -276,6 +305,7 @@ def train(
     """Run the full recipe and return the best-validation checkpoint."""
     if len(train_ds) == 0:
         raise TrainingError("training split is empty")
+    set_malloc_policy()
     optimizer = AdamOptimizer(net.parameters(), lr=lr)
     norm_train_ds = replace(train_ds, targets=_normalized_targets(train_ds, scaler))
     val_targets = _normalized_targets(val_ds, scaler) if len(val_ds) else None

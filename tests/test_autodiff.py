@@ -351,3 +351,26 @@ class TestNoGrad:
         with pytest.raises(RuntimeError, match="requires_grad=False"):
             ad.backward(loss)
         assert p.grad is None
+
+
+class TestConsumedTape:
+    def test_op_outputs_are_spent_and_leaves_keep_gradients(self, rng):
+        p = Variable(rng.normal(size=(3,)))
+        c = Variable(rng.normal(size=(3,)), requires_grad=False)
+        h = ad.relu(ad.add(p, c))
+        loss = ad.mse_loss(h, np.zeros(3))
+        ad.backward(loss)
+        for node in (h, loss):
+            assert (node.grad, node._backward, node.parents, node.requires_grad) == (
+                None, None, (), False
+            )
+        assert p.grad is not None and c.grad is not None
+
+    def test_second_backward_raises_and_keeps_gradients(self, rng):
+        p = Variable(rng.normal(size=(3,)))
+        loss = ad.mse_loss(ad.tanh(ad.add(p, p)), np.ones(3))
+        ad.backward(loss)
+        grad = p.grad.copy()
+        with pytest.raises(RuntimeError, match="already consumed its tape"):
+            ad.backward(loss)
+        assert p.grad.tobytes() == grad.tobytes()

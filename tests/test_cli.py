@@ -284,6 +284,83 @@ class TestBadInputExitsOne:
         assert f"{bad}: run_config does not describe the checkpoint's model" in err
         assert "model.window is 16 in run_config, 8 in config" in err
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda ck: ck.params.pop("adjacency.e1"), "params.adjacency.e1"),
+            (lambda ck: ck.params["adjacency.e1"].__setitem__((0, 0), np.nan),
+             "params.adjacency.e1"),
+            (lambda ck: ck.params.__setitem__("block0.skip.bias", np.zeros(1)),
+             "params.block0.skip.bias"),
+            (lambda ck: ck.scaler["mins"][2].__setitem__(0, float("nan")), "scaler.mins"),
+            (lambda ck: ck.scaler["mins"][0].__setitem__(1, "x"), "scaler.mins"),
+            (lambda ck: ck.scaler["maxs"].pop(), "scaler.maxs"),
+            (lambda ck: ck.scaler.clear(), "scaler keys"),
+        ],
+        ids=["param-dropped", "param-nan", "param-shape", "scaler-nan", "scaler-text",
+             "scaler-rows", "scaler-empty"],
+    )
+    @pytest.mark.parametrize("command", ["eval", "predict", "export-adjacency"])
+    def test_checkpoint_parts_checked(self, workdir, tmp_path, capfd, command, edit, key):
+        ckpt = Checkpoint.load(workdir["checkpoint"])
+        edit(ckpt)
+        bad = tmp_path / "edited.bin"
+        ckpt.save(bad)
+        rc = main(workdir["argv"] + [command, str(bad)])
+        assert rc == 1
+        assert f"{bad}: {key}" in capfd.readouterr().err
+
+    def test_eval_rejects_another_scaler(self, workdir, tmp_path, capfd):
+        ckpt = Checkpoint.load(workdir["checkpoint"])
+        ckpt.scaler["mins"][0][0] -= 1.0
+        bad = tmp_path / "edited.bin"
+        ckpt.save(bad)
+        rc = main(workdir["argv"] + ["eval", str(bad)])
+        assert rc == 1
+        assert f"{bad}: scaler differs from the one fitted" in capfd.readouterr().err
+
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        kind=st.sampled_from(
+            ["param-value", "param-drop", "param-shape", "scaler-value", "scaler-swap",
+             "scaler-drop"]
+        ),
+        pick=st.integers(0, 2**16),
+        entry=st.integers(0, 2**16),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_mutated_checkpoint_exits_one(self, workdir, tmp_path, capfd, kind, pick, entry, value):
+        """One part of the trained checkpoint mutated: every command that
+        reads it exits 1 naming its path."""
+        ckpt = Checkpoint.load(workdir["checkpoint"])
+        names = sorted(ckpt.params)
+        name = names[pick % len(names)]
+        mins, maxs = (np.array(ckpt.scaler[k]) for k in ("mins", "maxs"))
+        if kind == "param-value":
+            ckpt.params[name].flat[entry % ckpt.params[name].size] = value
+        elif kind == "param-drop":
+            del ckpt.params[name]
+        elif kind == "param-shape":
+            ckpt.params[name] = np.append(ckpt.params[name].ravel(), 0.0)
+        elif kind == "scaler-drop":
+            del ckpt.scaler[("mins", "maxs")[pick % 2]]
+        else:
+            if kind == "scaler-value":
+                arr = (mins, maxs)[pick % 2]
+                arr.flat[entry % arr.size] = value
+            else:  # swap one pair whose max is above its min
+                i = np.flatnonzero(maxs > mins)[entry % np.count_nonzero(maxs > mins)]
+                mins.flat[i], maxs.flat[i] = maxs.flat[i], mins.flat[i]
+            ckpt.scaler = {"mins": mins.tolist(), "maxs": maxs.tolist()}
+        bad = tmp_path / "mutated.bin"
+        ckpt.save(bad)
+        for command in ("eval", "predict", "export-adjacency"):
+            rc = main(workdir["argv"] + [command, str(bad)])
+            err = capfd.readouterr().err
+            assert (rc, str(bad) in err) == (1, True), (command, kind, err)
+
     def test_non_consecutive_split_years(self, workdir, capfd):
         years = ["split.train_years=2000,2002", "split.val_years=", "split.test_years=2001"]
         rc = main(workdir["argv"] + [a for y in years for a in ("--set", y)] + ["train"])

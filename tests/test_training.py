@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import backward_keeping_tape
 from mswavenet import autodiff as ad
 from mswavenet import training
 from mswavenet.autodiff import Variable
@@ -543,3 +544,84 @@ class TestMetricsAndBaseline:
         ck = Checkpoint(net.state_dict(), net.config.to_dict(), scaler.state(), 0, 1, 0.1)
         with pytest.raises(TrainingError, match="scaler"):
             evaluate(ck, ds, other)
+
+
+def criterion_5_config():
+    return ModelConfig(
+        variant=MULTI_SCALE, num_blocks=4, residual_channels=16, skip_channels=32,
+        head_channels=(32, 16), window=16, horizon=1, num_nodes=5,
+        target_nodes=[0, 1, 2, 3, 4],
+    )
+
+
+class TestConsumedTape:
+    @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
+    def test_gradients_bitwise_equal_to_keeping_the_tape(self, rng, variant):
+        """Paper size, B=2, two consecutive Adam steps."""
+        xs = rng.normal(size=(2, 2, 4, 5, 48))
+        ts = rng.normal(size=(2, 2, 3))
+        nets = [Network(ModelConfig(variant=variant), seed=0) for _ in range(2)]
+        opts = [AdamOptimizer(net.parameters(), lr=0.001) for net in nets]
+        for x, t in zip(xs, ts):
+            grads = []
+            for net, opt, backward in zip(nets, opts, (ad.backward, backward_keeping_tape)):
+                net.zero_grad()
+                backward(ad.mse_loss(net.forward(x), t))
+                grads.append(
+                    {n: None if p.grad is None else p.grad.tobytes() for n, p in net.parameters()}
+                )
+                opt.step()
+            assert grads[0] == grads[1]
+
+    def test_train_steps_hold_one_graph_at_a_time(self, rng):
+        """Criterion-5 config, B=64: after backward only the parameter
+        gradients stay live, and a second step peaks no higher than the first."""
+        net = Network(criterion_5_config(), seed=0)
+        opt = AdamOptimizer(net.parameters(), lr=0.001)
+        x = rng.normal(size=(64, 4, 5, 16))
+        t = rng.normal(size=(64, 5))
+        peaks = []
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for step in range(2):
+                tracemalloc.reset_peak()
+                net.zero_grad()
+                loss = ad.mse_loss(net.forward(x), t)  # as in train(): loss outlives the step
+                ad.backward(loss)
+                if step == 0:
+                    live = tracemalloc.get_traced_memory()[0] - start
+                opt.step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(p.grad.nbytes for _, p in net.parameters() if p.grad is not None)
+        assert live <= grad_bytes + 2**20, (live, grad_bytes)
+        assert peaks[1] <= 1.15 * peaks[0], peaks
+
+
+class TestMallocPolicy:
+    def test_set_once_per_process(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(training, "_malloc_policy_set", False)
+        monkeypatch.setattr(training.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: Libc())
+        assert training.set_malloc_policy()
+        assert not training.set_malloc_policy()
+        assert calls == [(-3, 256 << 20), (-1, 1 << 30)]
+
+    def test_no_op_off_glibc(self, monkeypatch):
+        def no_libc(name):
+            raise AssertionError("libc loaded off glibc")
+
+        monkeypatch.setattr(training, "_malloc_policy_set", False)
+        monkeypatch.setattr(training.platform, "libc_ver", lambda: ("", ""))
+        monkeypatch.setattr(training.ctypes, "CDLL", no_libc)
+        assert not training.set_malloc_policy()
+        assert not training._malloc_policy_set
