@@ -14,15 +14,19 @@ import os
 import sys
 from datetime import timedelta
 
-import numpy as np
-
 from . import autodiff as ad
 from . import pipeline, synthetic, training
 from .config import ConfigError, RunConfig, load_run_config
 from .data import MinMaxScaler, PipelineError, assemble, sliding_windows
 from .graph import export_adjacency
-from .model import ModelConfig, Network
-from .training import Checkpoint, CheckpointError, evaluate, persistence_baseline, predict_physical
+from .model import Network
+from .training import (
+    Checkpoint,
+    CheckpointError,
+    evaluate_network,
+    persistence_baseline,
+    predict_physical,
+)
 
 
 def _write_lines(path, lines):
@@ -78,14 +82,9 @@ def _metrics_lines(label, metrics):
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    ckpt, cfg = _load_checkpoint(args, cfg)
-    prepared = pipeline.prepare(cfg)
-    if ckpt.scaler != prepared.scaler.state():
-        raise CheckpointError(
-            f"{args.checkpoint}: scaler differs from the one fitted on the training "
-            f"split of {cfg['data.dir']}"
-        )
-    metrics = evaluate(ckpt, prepared.test, prepared.scaler)
+    cfg, net, scaler = _load_checkpoint(args, cfg)
+    prepared = _prepare_test_split(args, cfg, scaler)
+    metrics = evaluate_network(net, prepared.test, prepared.scaler)
     baseline = persistence_baseline(prepared.test, prepared.scaler)
     lines = cfg.echo_lines()
     lines += _metrics_lines("model", metrics)
@@ -101,11 +100,9 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_predict(cfg: RunConfig, args) -> int:
-    ckpt, cfg = _load_checkpoint(args, cfg)
-    scaler = MinMaxScaler.from_state(ckpt.scaler)
-    series = pipeline.load_stations(cfg)
-    node_order = cfg.node_order()
-    raw, timestamps = assemble(series, node_order)
+    cfg, net, scaler = _load_checkpoint(args, cfg)
+    node_order = net.node_order
+    raw, timestamps = assemble(pipeline.load_stations(cfg), node_order)
     window = cfg["model.window"]
     horizon = cfg["model.horizon"]
     if raw.shape[0] < window:
@@ -113,7 +110,6 @@ def cmd_predict(cfg: RunConfig, args) -> int:
             f"need at least {window} recent hours per station, got {raw.shape[0]}"
         )
     x = sliding_windows(scaler.apply(raw[-window:]), window)
-    net = ckpt.build_network(node_order=node_order)
     with ad.no_grad():
         pred_norm = net.forward(x).value[0]
     when = timestamps[-1] + timedelta(hours=horizon)
@@ -125,8 +121,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
 
 
 def cmd_export_adjacency(cfg: RunConfig, args) -> int:
-    ckpt, cfg = _load_checkpoint(args, cfg)
-    net = ckpt.build_network(node_order=cfg.node_order())
+    cfg, net, _ = _load_checkpoint(args, cfg)
     adj = net.adjacency()
     out_dir = cfg["out.dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -169,11 +164,8 @@ def cmd_gen_synthetic(cfg: RunConfig, args) -> int:
 
 
 def cmd_dump_plot_data(cfg: RunConfig, args) -> int:
-    ckpt, cfg = _load_checkpoint(args, cfg)
-    prepared = pipeline.prepare(cfg)
-    net = ckpt.build_network(node_order=prepared.node_order)
-    scaler = MinMaxScaler.from_state(ckpt.scaler)
-    test = prepared.test
+    cfg, net, scaler = _load_checkpoint(args, cfg)
+    test = _prepare_test_split(args, cfg, scaler).test
     pred = predict_physical(net, test, scaler)
     out_dir = cfg["out.dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -193,72 +185,55 @@ def cmd_dump_plot_data(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _check_parts(path, ckpt: Checkpoint):
-    """Raise CheckpointError naming path and key unless the parameters fit
-    the stored model (names, shapes, finite values) and the scaler holds
-    finite [num_features, num_nodes] mins <= maxs."""
-    model = ModelConfig.from_dict(ckpt.config)
-    shapes = {name: p.shape for name, p in Network(model).parameters()}
-    for name in sorted(shapes.keys() | ckpt.params.keys()):
-        if name not in ckpt.params:
-            raise CheckpointError(f"{path}: params.{name}: missing")
-        if name not in shapes:
-            raise CheckpointError(f"{path}: params.{name}: not a parameter of the model")
-        value = ckpt.params[name]
-        if value.shape != shapes[name]:
-            raise CheckpointError(
-                f"{path}: params.{name}: shape {value.shape}, the model's is {shapes[name]}"
-            )
-        if not np.all(np.isfinite(value)):
-            raise CheckpointError(f"{path}: params.{name}: non-finite value")
-    scaler = ckpt.scaler
-    if set(scaler) != {"mins", "maxs"}:
-        raise CheckpointError(
-            f"{path}: scaler keys are {sorted(scaler)}, expected ['maxs', 'mins']"
-        )
-    shape = (model.num_features, model.num_nodes)
-    bounds = {}
-    for key in ("mins", "maxs"):
-        try:
-            bounds[key] = value = np.asarray(scaler[key], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise CheckpointError(f"{path}: scaler.{key}: not an array of numbers") from None
-        if value.shape != shape:
-            raise CheckpointError(
-                f"{path}: scaler.{key}: shape {value.shape}, the model's is {shape}"
-            )
-        if not np.all(np.isfinite(value)):
-            raise CheckpointError(f"{path}: scaler.{key}: non-finite value")
-    if np.any(bounds["maxs"] < bounds["mins"]):
-        raise CheckpointError(f"{path}: scaler.maxs: below scaler.mins")
-
-
 def _load_checkpoint(args, cli_cfg: RunConfig):
-    """(checkpoint, config) for a command run on args.checkpoint. The
-    checkpoint's parts must agree with its model config (_check_parts). The
+    """(config, network, scaler) for a command run on args.checkpoint. The
     config is the RunConfig stored in the checkpoint, with CLI overrides for
     data location and output directory, or the CLI config if none is
     stored. A stored run config must describe the stored model, field by
-    field."""
-    ckpt = Checkpoint.load(args.checkpoint)
-    _check_parts(args.checkpoint, ckpt)
-    if ckpt.run_config is None:
-        return ckpt, cli_cfg
-    values = dict(ckpt.run_config)
-    for key in ("data.dir", "out.dir"):
-        if cli_cfg[key]:
-            values[key] = cli_cfg[key]
+    field. Errors name the path and the key."""
+    path = args.checkpoint
+    ckpt = Checkpoint.load(path)
+    cfg = cli_cfg
+    if ckpt.run_config is not None:
+        values = dict(ckpt.run_config)
+        for key in ("data.dir", "out.dir"):
+            if cli_cfg[key]:
+                values[key] = cli_cfg[key]
+        try:
+            cfg = RunConfig(values)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: run_config:\n{exc}") from None
+        for field, value in cfg.model_config().to_dict().items():
+            if ckpt.config[field] != value:
+                raise CheckpointError(
+                    f"{path}: run_config does not describe the checkpoint's model: "
+                    f"model.{field} is {value!r} in run_config, {ckpt.config[field]!r} in config"
+                )
     try:
-        cfg = RunConfig(values)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.checkpoint}: run_config:\n{exc}") from None
-    for field, value in cfg.model_config().to_dict().items():
-        if ckpt.config[field] != value:
-            raise CheckpointError(
-                f"{args.checkpoint}: run_config does not describe the checkpoint's model: "
-                f"model.{field} is {value!r} in run_config, {ckpt.config[field]!r} in config"
-            )
-    return ckpt, cfg
+        net = ckpt.build_network(node_order=cfg.node_order())
+        scaler = MinMaxScaler.from_state(ckpt.scaler)
+    except (CheckpointError, PipelineError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    shape = (net.config.num_features, net.config.num_nodes)
+    if scaler.mins.shape != shape:
+        raise CheckpointError(
+            f"{path}: scaler.mins: shape {scaler.mins.shape}, the model's is {shape}"
+        )
+    return cfg, net, scaler
+
+
+def _prepare_test_split(args, cfg: RunConfig, scaler: MinMaxScaler):
+    """The prepared data of a command that forecasts the test split. The
+    inputs are normalised with the data's scaler: it must be the checkpoint's."""
+    if not cfg.years("split.test_years"):
+        raise ConfigError("no test year, so there is nothing to forecast", "split.test_years")
+    prepared = pipeline.prepare(cfg)
+    if scaler.state() != prepared.scaler.state():
+        raise CheckpointError(
+            f"{args.checkpoint}: scaler differs from the one fitted on the training "
+            f"split of {cfg['data.dir']}"
+        )
+    return prepared
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -225,10 +225,6 @@ class MinMaxScaler:
     def __init__(self, mins: np.ndarray, maxs: np.ndarray):
         self.mins = np.asarray(mins, dtype=np.float64)  # [D, N]
         self.maxs = np.asarray(maxs, dtype=np.float64)
-        if self.mins.shape != self.maxs.shape:
-            raise PipelineError("scaler min/max shapes disagree")
-        if np.any(self.maxs < self.mins):
-            raise PipelineError("scaler has max < min")
 
     @classmethod
     def fit(cls, train_raw: np.ndarray) -> "MinMaxScaler":
@@ -259,7 +255,28 @@ class MinMaxScaler:
 
     @classmethod
     def from_state(cls, state: dict) -> "MinMaxScaler":
-        return cls(np.asarray(state["mins"]), np.asarray(state["maxs"]))
+        """The scaler of a state() dict: exactly mins and maxs, finite numeric
+        arrays of one shape with maxs >= mins, or PipelineError naming the key."""
+        if set(state) != {"mins", "maxs"}:
+            raise PipelineError(f"scaler keys are {sorted(state)}, expected ['maxs', 'mins']")
+        bounds = []
+        for key in ("mins", "maxs"):
+            try:
+                value = np.asarray(state[key])
+                numeric = value.dtype.kind in "iuf"
+            except ValueError:  # ragged nesting
+                numeric = False
+            if not numeric:
+                raise PipelineError(f"scaler.{key}: not an array of numbers")
+            if not np.all(np.isfinite(value)):
+                raise PipelineError(f"scaler.{key}: non-finite value")
+            bounds.append(value.astype(np.float64))
+        mins, maxs = bounds
+        if maxs.shape != mins.shape:
+            raise PipelineError(f"scaler.maxs: shape {maxs.shape}, scaler.mins's is {mins.shape}")
+        if np.any(maxs < mins):
+            raise PipelineError("scaler.maxs: below scaler.mins")
+        return cls(mins, maxs)
 
 
 def sliding_windows(normalized: np.ndarray, window: int) -> np.ndarray:

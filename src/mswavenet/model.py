@@ -329,17 +329,19 @@ class Network:
         return {name: p.value.copy() for name, p in self.parameters()}
 
     def load_state_dict(self, state: dict):
+        """Copy state's arrays into the parameters. Raises naming a parameter:
+        KeyError if missing or unknown, ShapeMismatchError or ValueError if
+        misshapen or non-finite."""
         params = dict(self.parameters())
-        if set(state) != set(params):
-            raise KeyError(
-                f"parameter names disagree: missing {set(params) - set(state)}, "
-                f"unexpected {set(state) - set(params)}"
-            )
-        for name, value in state.items():
-            p = params[name]
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != p.value.shape:
-                raise ad.ShapeMismatchError(
-                    f"{name}: checkpoint shape {value.shape} != model shape {p.value.shape}"
-                )
-            p.value = value.copy()
+        for name in sorted(params.keys() | state.keys()):
+            if name not in state:
+                raise KeyError(f"{name}: missing")
+            if name not in params:
+                raise KeyError(f"{name}: not a parameter of the model")
+            value = np.array(state[name], dtype=np.float64)
+            shape = params[name].value.shape
+            if value.shape != shape:
+                raise ad.ShapeMismatchError(f"{name}: shape {value.shape}, the model's is {shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name}: non-finite value")
+            params[name].value = value

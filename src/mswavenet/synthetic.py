@@ -22,6 +22,10 @@ class SyntheticSpecError(ConfigError):
     pass
 
 
+# the default true_adjacency is built dense when a spec is checked: 8 MB at this size
+MAX_NODES = 1024
+
+
 @dataclass
 class SyntheticSpec:
     num_nodes: int = 5
@@ -42,6 +46,10 @@ class SyntheticSpec:
             value = getattr(self, name)
             if not int_at_least(value, low):
                 raise SyntheticSpecError(f"must be an int >= {low}, got {value!r}", name)
+        if self.num_nodes > MAX_NODES:
+            raise SyntheticSpecError(
+                f"must be at most {MAX_NODES}, got {self.num_nodes}", "num_nodes"
+            )
         for name in ("ar_coefficient", "noise_std", "shift"):
             value = getattr(self, name)
             if not finite_number(value):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .data import DatasetTensor, MinMaxScaler, batch_iter
+from .data import WIND_SPEED, DatasetTensor, MinMaxScaler, batch_iter
 from .model import ModelConfig, Network
 
 
@@ -35,7 +35,7 @@ class CheckpointError(Exception):
 # then a length-prefixed JSON trailer with config/scaler/seed/epoch/val_loss
 
 MAGIC = b"STGW1"
-# trailer key -> accepted JSON types; run_config is optional
+# trailer key -> accepted JSON types; run_config and node_order are optional
 TRAILER_TYPES = {
     "config": dict,
     "scaler": dict,
@@ -43,6 +43,7 @@ TRAILER_TYPES = {
     "epoch": int,
     "val_loss": (int, float),
     "run_config": (dict, type(None)),
+    "node_order": (list, type(None)),
 }
 
 
@@ -55,6 +56,7 @@ class Checkpoint:
     epoch: int
     val_loss: float
     run_config: dict = None  # full RunConfig echo, when launched via the CLI
+    node_order: list = None  # station names the model was trained on
 
     def save(self, path) -> None:
         chunks = [MAGIC, struct.pack("<I", len(self.params))]
@@ -74,6 +76,7 @@ class Checkpoint:
                 "epoch": self.epoch,
                 "val_loss": self.val_loss,
                 "run_config": self.run_config,
+                "node_order": self.node_order,
             },
             sort_keys=True,
         ).encode("utf-8")
@@ -134,11 +137,17 @@ class Checkpoint:
         if bad:
             raise CheckpointError(f"{path}: trailer keys missing or mistyped: {bad}")
         try:
-            ModelConfig.from_dict(trailer["config"])
+            model = ModelConfig.from_dict(trailer["config"])
         except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
             raise CheckpointError(
                 f"{path}: trailer config is not a model config: {exc!r}"
             ) from None
+        order = trailer.get("node_order")
+        if order is not None and not (
+            all(isinstance(name, str) for name in order) and len(set(order)) == len(order)
+            and len(order) == model.num_nodes
+        ):
+            raise CheckpointError(f"{path}: node_order: not {model.num_nodes} distinct names")
         return cls(
             params=params,
             config=trailer["config"],
@@ -147,11 +156,24 @@ class Checkpoint:
             epoch=trailer["epoch"],
             val_loss=trailer["val_loss"],
             run_config=trailer.get("run_config"),
+            node_order=order,
         )
 
     def build_network(self, node_order=None) -> Network:
+        """The stored model, its stations named node_order (default: the
+        stored names). CheckpointError names node_order or a parameter."""
+        if node_order is None:
+            node_order = self.node_order
+        elif self.node_order is not None and list(node_order) != self.node_order:
+            raise CheckpointError(
+                f"node_order: the data's stations are {list(node_order)}, "
+                f"the checkpoint's {self.node_order}"
+            )
         net = Network(ModelConfig.from_dict(self.config), seed=self.seed, node_order=node_order)
-        net.load_state_dict(self.params)
+        try:
+            net.load_state_dict(self.params)
+        except (KeyError, ValueError) as exc:  # ShapeMismatchError is a ValueError
+            raise CheckpointError(f"params.{exc.args[0]}") from None
         return net
 
 
@@ -319,6 +341,7 @@ def train(
             epoch=epoch,
             val_loss=val_loss,
             run_config=run_config,
+            node_order=net.node_order,
         )
 
     state = {"epoch": 0, "val_loss": math.inf}
@@ -389,11 +412,12 @@ def overfit(net: Network, inputs, targets, max_steps=2000, lr=0.001, tol=1e-3):
     return max_steps, mse
 
 
-def _metrics_from_errors(pred: np.ndarray, target: np.ndarray, node_names, horizon) -> Metrics:
-    err = pred - target
+def _metrics(pred: np.ndarray, dataset: DatasetTensor) -> Metrics:
+    """Errors of physical forecasts [S, n_targets] against dataset's targets."""
+    err = pred - dataset.targets
     per_node = {}
-    for j, name in enumerate(node_names):
-        per_node[name] = {
+    for j, node in enumerate(dataset.target_nodes):
+        per_node[dataset.node_order[node]] = {
             "mae": float(np.abs(err[:, j]).mean()),
             "mse": float((err[:, j] ** 2).mean()),
         }
@@ -401,7 +425,7 @@ def _metrics_from_errors(pred: np.ndarray, target: np.ndarray, node_names, horiz
         mae=float(np.abs(err).mean()),
         mse=float((err**2).mean()),
         per_node=per_node,
-        horizon=horizon,
+        horizon=dataset.horizon,
     )
 
 
@@ -423,19 +447,18 @@ def evaluate(checkpoint: Checkpoint, dataset: DatasetTensor, scaler: MinMaxScale
     """MAE/MSE in m/s over a split, with a per-target-node breakdown."""
     if checkpoint.scaler != scaler.state():
         raise TrainingError("scaler does not match the one stored in the checkpoint")
-    net = checkpoint.build_network(node_order=dataset.node_order)
-    pred = predict_physical(net, dataset, scaler)
-    names = [dataset.node_order[i] for i in dataset.target_nodes]
-    return _metrics_from_errors(pred, dataset.targets, names, dataset.horizon)
+    return evaluate_network(checkpoint.build_network(node_order=dataset.node_order), dataset, scaler)
+
+
+def evaluate_network(net: Network, dataset: DatasetTensor, scaler: MinMaxScaler) -> Metrics:
+    """evaluate() for a built network whose scaler the caller has checked."""
+    return _metrics(predict_physical(net, dataset, scaler), dataset)
 
 
 def persistence_baseline(dataset: DatasetTensor, scaler: MinMaxScaler) -> Metrics:
     """Forecast = last observed wind speed in the window, in m/s."""
-    from .data import WIND_SPEED
-
     pred = np.empty_like(dataset.targets)
     for j, node in enumerate(dataset.target_nodes):
         last = dataset.inputs[:, WIND_SPEED, node, -1]
         pred[:, j] = scaler.invert_wind_speed(last, node)
-    names = [dataset.node_order[i] for i in dataset.target_nodes]
-    return _metrics_from_errors(pred, dataset.targets, names, dataset.horizon)
+    return _metrics(pred, dataset)

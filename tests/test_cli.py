@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from mswavenet.training import Checkpoint
 
 NODES = "node0,node1,node2"
 TARGETS = "node0,node2"
+COMMANDS = ["eval", "predict", "export-adjacency", "dump-plot-data"]  # the checkpoint readers
 
 _values = st.one_of(
     st.text(max_size=8),
@@ -300,7 +302,7 @@ class TestBadInputExitsOne:
         ids=["param-dropped", "param-nan", "param-shape", "scaler-nan", "scaler-text",
              "scaler-rows", "scaler-empty"],
     )
-    @pytest.mark.parametrize("command", ["eval", "predict", "export-adjacency"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_checkpoint_parts_checked(self, workdir, tmp_path, capfd, command, edit, key):
         ckpt = Checkpoint.load(workdir["checkpoint"])
         edit(ckpt)
@@ -318,6 +320,59 @@ class TestBadInputExitsOne:
         rc = main(workdir["argv"] + ["eval", str(bad)])
         assert rc == 1
         assert f"{bad}: scaler differs from the one fitted" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "dump-plot-data"])
+    def test_rejects_data_with_another_scaler(self, workdir, tmp_path, capfd, command):
+        """node0.csv and node2.csv swapped: the stations keep their names,
+        but the scaler fitted on them is not the checkpoint's."""
+        swapped = tmp_path / "swapped"
+        swapped.mkdir()
+        for j, k in enumerate((2, 1, 0)):
+            shutil.copy(workdir["data"] / f"node{k}.csv", swapped / f"node{j}.csv")
+        out_dir = tmp_path / "out"
+        rc = main(
+            workdir["argv"]
+            + ["--set", f"data.dir={swapped}", "--set", f"out.dir={out_dir}", command,
+               str(workdir["checkpoint"])]
+        )
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert f"{workdir['checkpoint']}: scaler differs from the one fitted" in err
+        assert not out_dir.exists()
+
+    @staticmethod
+    def library_checkpoint(workdir, tmp_path):
+        """Path of a copy of the trained checkpoint without a run_config,
+        as train() writes it when called as a library."""
+        ckpt = Checkpoint.load(workdir["checkpoint"])
+        ckpt.run_config = None
+        path = tmp_path / "library.bin"
+        ckpt.save(path)
+        return path
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stations_must_match_the_checkpoint(self, workdir, tmp_path, capfd, command):
+        path = self.library_checkpoint(workdir, tmp_path)
+        rc = main(
+            workdir["argv"]
+            + ["--set", "data.node_order=node2,node1,node0", "--set", f"out.dir={tmp_path}/out",
+               command, str(path)]
+        )
+        assert rc == 1
+        assert f"{path}: node_order: " in capfd.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "dump-plot-data"])
+    def test_empty_test_split_exits_one(self, workdir, tmp_path, capfd, command):
+        path = self.library_checkpoint(workdir, tmp_path)
+        rc = main(
+            workdir["argv"]
+            + ["--set", "split.test_years=", "--set", f"out.dir={tmp_path}/out", command,
+               str(path)]
+        )
+        assert rc == 1
+        assert "split.test_years: " in capfd.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @settings(
         max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -356,10 +411,38 @@ class TestBadInputExitsOne:
             ckpt.scaler = {"mins": mins.tolist(), "maxs": maxs.tolist()}
         bad = tmp_path / "mutated.bin"
         ckpt.save(bad)
-        for command in ("eval", "predict", "export-adjacency"):
+        for command in COMMANDS:
             rc = main(workdir["argv"] + [command, str(bad)])
             err = capfd.readouterr().err
             assert (rc, str(bad) in err) == (1, True), (command, kind, err)
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(key=st.sampled_from(sorted(DEFAULTS)), value=_json_values)
+    def test_mutated_run_config_exits_zero_or_one(self, workdir, tmp_path, capfd, key, value):
+        """One run_config key of the trained checkpoint set to a JSON value:
+        every command exits 0 with finite output, or exits 1 naming the
+        checkpoint's path or the key. It never exits 2."""
+        ckpt = Checkpoint.load(workdir["checkpoint"])
+        ckpt.run_config[key] = value
+        bad = tmp_path / "mutated.bin"
+        ckpt.save(bad)
+        for command in COMMANDS:
+            out_dir = tmp_path / command
+            shutil.rmtree(out_dir, ignore_errors=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # horizons, empty splits
+                rc = main(workdir["argv"] + ["--set", f"out.dir={out_dir}", command, str(bad)])
+            out, err = capfd.readouterr()
+            if rc == 1:
+                assert str(bad) in err or f"{key}:" in err, (command, err)
+                continue
+            assert rc == 0, (command, err)
+            written = [f.read_text() for f in out_dir.iterdir()] if out_dir.exists() else []
+            lines = [ln for text in [out, *written] for ln in text.splitlines()]
+            numbers = [ln for ln in lines if not ln.startswith("#")]
+            assert not re.search(r"\b(nan|inf)\b", "\n".join(numbers)), (command, numbers)
 
     def test_non_consecutive_split_years(self, workdir, capfd):
         years = ["split.train_years=2000,2002", "split.val_years=", "split.test_years=2001"]
@@ -390,6 +473,7 @@ class TestConfigHandling:
             ("synth.sigma=-1", "synth.sigma"),
             ("synth.length=0", "synth.length"),
             ("synth.nodes=0", "synth.nodes"),
+            ("synth.nodes=32631", "synth.nodes"),  # its dense adjacency would take 8 GB
             ("synth.graph=star", "synth.graph"),
             ("seed=-1", "seed"),
             ("data.target_nodes=", "data.target_nodes"),

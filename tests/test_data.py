@@ -309,6 +309,26 @@ class TestMinMaxScaler:
         np.testing.assert_array_equal(sc.mins, sc2.mins)
         np.testing.assert_array_equal(sc.maxs, sc2.maxs)
 
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ({"mins": [[0.0]]}, r"scaler keys are \['mins'\], expected \['maxs', 'mins'\]"),
+            ({"mins": [[0.0]], "maxs": [[1.0]], "x": 1}, "scaler keys are"),
+            ({"mins": [["0"]], "maxs": [[1.0]]}, "scaler.mins: not an array of numbers"),
+            ({"mins": [[0.0], [1.0, 2.0]], "maxs": [[1.0]]}, "scaler.mins: not an array"),
+            ({"mins": [[0.0]], "maxs": [[True]]}, "scaler.maxs: not an array of numbers"),
+            ({"mins": [[0.0]], "maxs": None}, "scaler.maxs: not an array of numbers"),
+            ({"mins": [[0.0]], "maxs": [[float("inf")]]}, "scaler.maxs: non-finite value"),
+            ({"mins": [[0.0]], "maxs": [[1.0, 2.0]]}, r"scaler.maxs: shape \(1, 2\)"),
+            ({"mins": [[0.0, 3.0]], "maxs": [[1.0, 2.0]]}, "scaler.maxs: below scaler.mins"),
+        ],
+        ids=["key-missing", "key-extra", "text", "ragged", "bool", "null", "inf", "shape",
+             "max-below-min"],
+    )
+    def test_from_state_names_the_key(self, state, message):
+        with pytest.raises(PipelineError, match=f"^{message}"):
+            MinMaxScaler.from_state(state)
+
 
 class TestMakeWindows:
     def test_sample_count(self, rng):

@@ -325,6 +325,14 @@ class TestStateDict:
         with pytest.raises(ShapeMismatchError):
             net.load_state_dict(state)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value(self, value):
+        net = Network(small_config(), seed=0)
+        state = net.state_dict()
+        state["head.dense.weight"][0, 0] = value
+        with pytest.raises(ValueError, match="^head.dense.weight: non-finite value"):
+            net.load_state_dict(state)
+
 
 def _reference_tcn(unit, x):
     """A TCN subunit as separate ops: branches -> concat -> 1x1 reduce."""

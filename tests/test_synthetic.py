@@ -42,6 +42,7 @@ class TestSpecValidation:
         [
             ("num_nodes", 0),
             ("num_nodes", True),
+            ("num_nodes", 1025),
             ("length", 0),
             ("length", 2.5),
             ("seed", -1),

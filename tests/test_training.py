@@ -351,6 +351,22 @@ class TestCheckpoint:
         else:
             Network(ModelConfig.from_dict(ckpt.config))  # a loaded config builds its model
 
+    def test_node_order_is_optional(self, tmp_path, rng):
+        ck = self.sample(rng)
+        for order in (None, ["b", "a"]):
+            ck.node_order = order
+            ck.save(tmp_path / "ck.bin")
+            assert Checkpoint.load(tmp_path / "ck.bin").node_order == order
+
+    @pytest.mark.parametrize("order", [["a"], ["a", "a"], ["a", 1], "ab"])
+    def test_bad_node_order_names_path(self, tmp_path, order):
+        trailer = {"config": tiny_config().to_dict(), "scaler": {}, "seed": 0, "epoch": 0,
+                   "val_loss": 0.0, "node_order": order}
+        p = tmp_path / "bad.bin"
+        p.write_bytes(checkpoint_blob(trailer=json.dumps(trailer).encode()))
+        with pytest.raises(CheckpointError, match=re.escape(str(p)) + ".*node_order"):
+            Checkpoint.load(p)
+
     def test_trailing_garbage(self, tmp_path, rng):
         p = tmp_path / "g.bin"
         self.sample(rng).save(p)
@@ -374,6 +390,35 @@ class TestCheckpoint:
         x = rng.normal(size=(2, 4, 2, 8))
         np.testing.assert_array_equal(net.forward(x).value, net2.forward(x).value)
 
+    def test_build_network_binds_station_names(self):
+        net = Network(tiny_config(), seed=4, node_order=["b", "a"])
+        ck = Checkpoint(net.state_dict(), net.config.to_dict(), {}, 4, 1, 0.1, node_order=["b", "a"])
+        assert ck.build_network().node_order == ["b", "a"]
+        assert ck.build_network(node_order=("b", "a")).node_order == ["b", "a"]
+        with pytest.raises(CheckpointError, match=r"node_order: .*\['a', 'b'\].*\['b', 'a'\]"):
+            ck.build_network(node_order=["a", "b"])
+        ck.node_order = None  # written before station names were stored: any names
+        assert ck.build_network(node_order=["a", "b"]).node_order == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.pop("input_proj.bias"), "params.input_proj.bias: missing"),
+            (lambda p: p.__setitem__("extra", np.zeros(1)), "params.extra: not a parameter"),
+            (lambda p: p.__setitem__("head.dense.bias", np.zeros(5)),
+             r"params.head.dense.bias: shape \(5,\), the model's is \(2,\)"),
+            (lambda p: p["input_proj.weight"].__setitem__((0, 0), np.inf),
+             "params.input_proj.weight: non-finite value"),
+        ],
+        ids=["missing", "unknown", "shape", "non-finite"],
+    )
+    def test_build_network_names_one_bad_parameter(self, edit, message):
+        net = Network(tiny_config(), seed=4)
+        ck = Checkpoint(net.state_dict(), net.config.to_dict(), {}, 4, 1, 0.1)
+        edit(ck.params)
+        with pytest.raises(CheckpointError, match=f"^{message}"):
+            ck.build_network()
+
 
 class TestTrainLoop:
     def test_runs_and_logs(self, tmp_path, rng):
@@ -386,6 +431,12 @@ class TestTrainLoop:
         assert [row["epoch"] for row in res.log] == [1, 2, 3]
         assert math.isfinite(res.checkpoint.val_loss)
         assert res.checkpoint.epoch <= 3
+
+    def test_checkpoint_stores_station_names(self, tmp_path, rng):
+        ds, scaler = tiny_dataset(rng)
+        net = Network(tiny_config(), seed=0, node_order=["west", "east"])
+        res = train(net, ds, ds, scaler, tmp_path / "ck.bin", epochs=1, batch_size=16)
+        assert res.checkpoint.node_order == ["west", "east"]
 
     def test_checkpoint_is_best_epoch(self, tmp_path, rng):
         ds, scaler = tiny_dataset(rng)
