@@ -18,13 +18,21 @@ backpropagated again: a second ``backward`` raises.
 Recording rule: an op's output keeps its parents and backward closure only
 while recording is on and at least one parent has ``requires_grad``.
 Otherwise it stores neither and has ``requires_grad=False``: nothing keeps
-the buffers its backward would have read (an im2col copy, the gate's tanh
-and sigmoid), and each intermediate is freed once the next op has read it.
+the buffers its backward would have read (the gate's tanh and sigmoid),
+and each intermediate is freed once the next op has read it.
 Recording is on by default and off inside ``with no_grad():``, so a
 forward there builds no tape; the same ops run in the same order and give
 the same values. ``no_grad`` nests and restores the previous state on
 exit, also on an exception. Leaf Variables keep the ``requires_grad`` they
 are built with, and ``backward`` rejects a loss without it.
+
+Layout of the 4-D ops: ``conv_time_causal``, ``conv_time_dilated_causal``,
+``conv_1x1``, ``gated_tanh_sigmoid`` and ``concat_channels`` take and give
+activations as [C, W, B, N] (channel, time, batch, node). The channel axis
+leads, so each op works on the 2-D (C, W*B*N) view as plain GEMMs, and a
+time lag of k steps is an offset of k*B*N columns of that view: no op
+copies a contiguous input. ``permute`` converts to and from other
+layouts, such as the [B, C, N, W] of a model's input and head.
 """
 
 from __future__ import annotations
@@ -240,8 +248,11 @@ def relu(x) -> Variable:
     out_val = np.maximum(x.value, 0.0)  # keeps NaN, unlike a mask select
 
     def backward_fn(g):
-        # out > 0 equals x > 0 for every input, NaN included
-        x.accumulate_grad(g * (out_val > 0))
+        # out > 0 equals x > 0 for every input, NaN included; the mask is
+        # written as 0.0/1.0 into the array that becomes the product
+        gx = np.greater(out_val, 0.0, out=np.empty_like(out_val))
+        gx *= g
+        x.accumulate_grad(gx)
 
     return Variable(out_val, (x,), backward_fn)
 
@@ -274,32 +285,37 @@ def matmul(a, b) -> Variable:
     return Variable(out_val, (a, b), backward_fn)
 
 
-def _mix_channels(w, x):
-    """w [O, I] applied at every (b, n, t) of x [B, I, N, W] -> [B, O, N, W].
-    Batched matmul keeps this on BLAS."""
-    b, i, n, t = x.shape
-    return (w @ x.reshape(b, i, n * t)).reshape(b, -1, n, t)
-
-
-def _mix_channels_grad_w(g, x):
-    """d/dw of _mix_channels: [B,O,N,W], [B,I,N,W] -> [O, I]."""
-    b, o, n, t = g.shape
-    gr = g.reshape(b, o, n * t)
-    xr = x.reshape(b, x.shape[1], n * t)
-    return np.matmul(gr, xr.transpose(0, 2, 1)).sum(axis=0)
+def _tap_sum(out, taps, src, reverse=False):
+    """Fill out [R, M] with a sum of 2-D GEMMs, one per tap (s, mat), each
+    shifted s columns: out[:, s:] += mat @ src[:, :M-s], or with reverse
+    (its transpose) out[:, :M-s] += mat @ src[:, s:]. taps come in
+    ascending s; a first tap at s = 0 is written in place, with no
+    temporary, and columns no tap reaches are zero."""
+    M = out.shape[1]
+    if not taps or taps[0][0]:
+        out[...] = 0.0
+    for i, (s, mat) in enumerate(taps):
+        dst, rd = (out[:, : M - s], src[:, s:]) if reverse else (out[:, s:], src[:, : M - s])
+        if i == 0 and s == 0:
+            np.matmul(mat, rd, out=dst)
+        else:
+            dst += mat @ rd
 
 
 def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
-    """Causal convolution along the trailing time axis at explicit tap lags.
+    """Causal convolution along the time axis at explicit tap lags.
 
-    x: [B, C_in, N, W], kernel: [C_out, C_in, L], lags: L non-negative
-    ints, bias: [C_out] or None. out[..., t] = sum_l kernel[:, :, l] applied
-    to x[..., t - lags[l]] (+ bias), reading zeros before t = 0, so output
-    length equals W and out[..., t] depends only on in[..., t'] with t' <= t.
+    x: [C_in, W, B, N], kernel: [C_out, C_in, L], lags: L non-negative
+    ints, bias: [C_out] or None. out[:, t] = sum_l kernel[:, :, l] applied
+    to x[:, t - lags[l]] (+ bias), reading zeros before t = 0, so output
+    length equals W and out[:, t] depends only on in[:, t'] with t' <= t.
+    Over the (C, W*B*N) view a lag is a column offset, so each tap is one
+    2-D GEMM on views of x; a tap with lag >= W reads only padding and is
+    skipped.
     """
     x, kernel = as_variable(x), as_variable(kernel)
     if x.value.ndim != 4 or kernel.value.ndim != 3:
-        raise ShapeMismatchError("expected x [B,C,N,W] and kernel [Co,Ci,L]")
+        raise ShapeMismatchError("expected x [C,W,B,N] and kernel [Co,Ci,L]")
     lags = list(lags)
     if not lags or min(lags) < 0:
         raise ValueError("a causal convolution needs at least one tap and lags >= 0")
@@ -307,11 +323,11 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
         raise ShapeMismatchError(
             f"kernel has {kernel.value.shape[2]} taps but {len(lags)} lags were given"
         )
-    if x.value.shape[1] != kernel.value.shape[1]:
+    if x.value.shape[0] != kernel.value.shape[1]:
         raise ShapeMismatchError(
-            f"channel mismatch: x has {x.value.shape[1]}, kernel wants {kernel.value.shape[1]}"
+            f"channel mismatch: x has {x.value.shape[0]}, kernel wants {kernel.value.shape[1]}"
         )
-    B, Ci, N, W = x.value.shape
+    Ci, W, B, N = x.value.shape
     Co, _, L = kernel.value.shape
     if bias is not None:
         bias = as_variable(bias)
@@ -324,29 +340,27 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
             RuntimeWarning,
             stacklevel=2,
         )
-    # gather the L lagged copies of x into one contiguous [B, L*Ci, N, W]
-    # buffer so the whole convolution is a single channel-mixing matmul
-    cols = np.empty((B, L * Ci, N, W))
-    keeps = [max(W - lag, 0) for lag in lags]  # input steps each tap reads
-    for l, keep in enumerate(keeps):
-        tap = cols[:, l * Ci : (l + 1) * Ci]
-        tap[..., : W - keep] = 0.0
-        tap[..., W - keep :] = x.value[..., :keep]
-    w2 = kernel.value.transpose(0, 2, 1).reshape(Co, L * Ci)
-    out_val = _mix_channels(w2, cols)
+    # (column shift, tap) of every tap that reads an input step, lag 0 first
+    shifts = sorted((lag * B * N, l) for l, lag in enumerate(lags) if lag < W)
+    x2 = x.value.reshape(Ci, -1)
+    M = x2.shape[1]
+    taps = np.ascontiguousarray(kernel.value.transpose(2, 0, 1))  # [L, Co, Ci]
+    out_val = np.empty((Co, W, B, N))
+    out2 = out_val.reshape(Co, -1)
+    _tap_sum(out2, [(s, taps[l]) for s, l in shifts], x2)
     if bias is not None:
-        out_val += bias.value[None, :, None, None]
+        out2 += bias.value[:, None]
 
     def backward_fn(g):
-        gw2 = _mix_channels_grad_w(g, cols)
-        kernel.accumulate_grad(gw2.reshape(Co, L, Ci).transpose(0, 2, 1))
+        g2 = g.reshape(Co, -1)
+        gk = np.zeros_like(kernel.value)
+        for s, l in shifts:
+            gk[:, :, l] = g2[:, s:] @ x2[:, : M - s].T
+        kernel.accumulate_grad(gk)
         if bias is not None:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        # one GEMM per tap, added at its lag: no [B, L*Ci, N, W] buffer
-        gx = np.zeros_like(x.value)
-        for l, keep in enumerate(keeps):
-            if keep:
-                gx[..., :keep] += _mix_channels(kernel.value[:, :, l].T, g)[..., W - keep :]
+            bias.accumulate_grad(g2.sum(axis=1))
+        gx = np.empty(x.value.shape)  # C order, so its reshape is a view
+        _tap_sum(gx.reshape(Ci, -1), [(s, taps[l].T) for s, l in shifts], g2, reverse=True)
         x.accumulate_grad(gx)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
@@ -359,12 +373,12 @@ def dilated_lags(kernel_size: int, dilation: int) -> list:
 
 
 def conv_time_dilated_causal(x, kernel, dilation: int) -> Variable:
-    """Dilated causal convolution along the trailing time axis.
+    """Dilated causal convolution along the time axis.
 
-    x: [B, C_in, N, W], kernel: [C_out, C_in, K]. Tap k reads lag
+    x: [C_in, W, B, N], kernel: [C_out, C_in, K]. Tap k reads lag
     (K-1-k)*dilation, as if the input were left-padded with (K-1)*dilation
-    zeros, so output length equals W and out[..., t] depends only on
-    in[..., t'] with t' <= t.
+    zeros, so output length equals W and out[:, t] depends only on
+    in[:, t'] with t' <= t.
     """
     kernel = as_variable(kernel)
     if dilation < 1:
@@ -430,67 +444,95 @@ def compose_causal_kernel(units, lags):
 
 
 def gated_tanh_sigmoid(z) -> Variable:
-    """WaveNet gate over a stacked pair: tanh(z[:, :C]) * sigmoid(z[:, C:])
-    for z [B, 2C, ...], giving [B, C, ...]."""
+    """WaveNet gate over a stacked pair: tanh(z[:C]) * sigmoid(z[C:]) for
+    z [2C, ...], giving [C, ...]. The halves are contiguous blocks of z."""
     z = as_variable(z)
-    if z.value.ndim < 2 or z.value.shape[1] % 2:
+    if z.value.ndim < 1 or z.value.shape[0] % 2:
         raise ShapeMismatchError(f"gate input needs an even channel axis, got {z.value.shape}")
-    C = z.value.shape[1] // 2
-    filt = np.tanh(z.value[:, :C])
-    gate = 1.0 / (1.0 + np.exp(-z.value[:, C:]))
+    C = z.value.shape[0] // 2
+    filt = np.tanh(z.value[:C])
+    gate = np.negative(z.value[C:])
+    np.exp(gate, out=gate)
+    gate += 1.0
+    np.reciprocal(gate, out=gate)
     out_val = filt * gate
 
     def backward_fn(g):
+        # each half written in place into a fresh gz
         gz = np.empty_like(z.value)
-        gz[:, :C] = g * gate * (1.0 - filt * filt)
-        gz[:, C:] = g * filt * gate * (1.0 - gate)
+        g_filt, g_gate = gz[:C], gz[C:]
+        np.multiply(filt, filt, out=g_filt)
+        np.subtract(1.0, g_filt, out=g_filt)
+        g_filt *= gate
+        g_filt *= g
+        np.subtract(1.0, gate, out=g_gate)
+        g_gate *= out_val
+        g_gate *= g
         z.accumulate_grad(gz)
 
     return Variable(out_val, (z,), backward_fn)
 
 
 def conv_1x1(x, weight, bias) -> Variable:
-    """Pure channel mixing at each (b, n, t): out = W x + b."""
+    """Pure channel mixing at each (t, b, n): out = W x + b, one 2-D GEMM
+    over the (C, W*B*N) view of x [C, W, B, N]."""
     x, weight, bias = as_variable(x), as_variable(weight), as_variable(bias)
     if x.value.ndim != 4 or weight.value.ndim != 2 or bias.value.ndim != 1:
-        raise ShapeMismatchError("expected x [B,C,N,W], weight [Co,Ci], bias [Co]")
-    if x.value.shape[1] != weight.value.shape[1] or weight.value.shape[0] != bias.value.shape[0]:
+        raise ShapeMismatchError("expected x [C,W,B,N], weight [Co,Ci], bias [Co]")
+    if x.value.shape[0] != weight.value.shape[1] or weight.value.shape[0] != bias.value.shape[0]:
         raise ShapeMismatchError(
             f"channel mismatch: x {x.value.shape}, weight {weight.value.shape}, bias {bias.value.shape}"
         )
-    out_val = _mix_channels(weight.value, x.value)
-    out_val += bias.value[None, :, None, None]
+    Co = weight.value.shape[0]
+    x2 = x.value.reshape(x.value.shape[0], -1)
+    out2 = weight.value @ x2
+    out2 += bias.value[:, None]
 
     def backward_fn(g):
-        weight.accumulate_grad(_mix_channels_grad_w(g, x.value))
-        bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        x.accumulate_grad(_mix_channels(weight.value.T, g))
+        g2 = g.reshape(Co, -1)
+        weight.accumulate_grad(g2 @ x2.T)
+        bias.accumulate_grad(g2.sum(axis=1))
+        x.accumulate_grad((weight.value.T @ g2).reshape(x.value.shape))
 
-    return Variable(out_val, (x, weight, bias), backward_fn)
+    return Variable(out2.reshape((Co,) + x.value.shape[1:]), (x, weight, bias), backward_fn)
 
 
 def concat_channels(xs) -> Variable:
-    """Channel-axis concatenation of [B,C_i,N,W] inputs, in argument order."""
+    """Channel-axis concatenation of [C_i, W, B, N] inputs, in argument order."""
     xs = [as_variable(x) for x in xs]
     if not xs:
         raise ValueError("concat_channels needs at least one input")
     base = xs[0].value.shape
     for x in xs[1:]:
         s = x.value.shape
-        if len(s) != 4 or (s[0], s[2], s[3]) != (base[0], base[2], base[3]):
+        if len(s) != 4 or s[1:] != base[1:]:
             raise ShapeMismatchError(
                 f"non-channel dimensions disagree: {base} vs {s}"
             )
-    widths = [x.value.shape[1] for x in xs]
-    out_val = np.concatenate([x.value for x in xs], axis=1)
+    widths = [x.value.shape[0] for x in xs]
+    out_val = np.concatenate([x.value for x in xs], axis=0)
 
     def backward_fn(g):
         start = 0
         for x, c in zip(xs, widths):
-            x.accumulate_grad(g[:, start : start + c])
+            x.accumulate_grad(g[start : start + c])
             start += c
 
     return Variable(out_val, tuple(xs), backward_fn)
+
+
+def permute(x, axes) -> Variable:
+    """x with its axes reordered as by np.transpose, copied into a
+    contiguous array; the gradient is permuted back the same way."""
+    x = as_variable(x)
+    axes = tuple(axes)
+    inverse = tuple(int(a) for a in np.argsort(axes))
+    out_val = np.ascontiguousarray(x.value.transpose(axes))
+
+    def backward_fn(g):
+        x.accumulate_grad(np.ascontiguousarray(g.transpose(inverse)))
+
+    return Variable(out_val, (x,), backward_fn)
 
 
 def softmax_rows(x) -> Variable:

@@ -185,12 +185,23 @@ def cmd_dump_plot_data(cfg: RunConfig, args) -> int:
     return 0
 
 
+# settings that shape the data a command feeds a model, as (key, model
+# field); checked on a checkpoint that stores no run config
+_DATA_SHAPE_KEYS = (
+    ("data.node_order", "num_nodes"),
+    ("model.window", "window"),
+    ("model.horizon", "horizon"),
+    ("data.target_nodes", "target_nodes"),
+)
+
+
 def _load_checkpoint(args, cli_cfg: RunConfig):
     """(config, network, scaler) for a command run on args.checkpoint. The
     config is the RunConfig stored in the checkpoint, with CLI overrides for
     data location and output directory, or the CLI config if none is
     stored. A stored run config must describe the stored model, field by
-    field. Errors name the path and the key."""
+    field; the CLI config must agree with the stored model on the stations,
+    window, horizon and target nodes. Errors name the path and the key."""
     path = args.checkpoint
     ckpt = Checkpoint.load(path)
     cfg = cli_cfg
@@ -214,6 +225,14 @@ def _load_checkpoint(args, cli_cfg: RunConfig):
         scaler = MinMaxScaler.from_state(ckpt.scaler)
     except (CheckpointError, PipelineError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    if ckpt.run_config is None:
+        command = cfg.model_config()
+        for key, field in _DATA_SHAPE_KEYS:
+            ours, stored = getattr(command, field), getattr(net.config, field)
+            if ours != stored:
+                raise CheckpointError(
+                    f"{path}: {key} gives {field} {ours!r}, the checkpoint's model has {stored!r}"
+                )
     shape = (net.config.num_features, net.config.num_nodes)
     if scaler.mins.shape != shape:
         raise CheckpointError(

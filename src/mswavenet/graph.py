@@ -57,14 +57,15 @@ def _transpose(x: Variable) -> Variable:
 
 
 def gcn_forward(x: Variable, adj: AdjacencyMatrix, theta: Variable, bias: Variable) -> Variable:
-    """Graph convolution: mix nodes by the shared adjacency, then channels.
+    """Graph convolution of x [C, W, B, N]: mix nodes by the shared
+    adjacency, then channels.
 
-    out[b, :, n, t] = theta @ (sum_j adj[n, j] * x[b, :, j, t]) + bias
+    out[:, t, b, n] = theta @ (sum_j adj[n, j] * x[:, t, b, j]) + bias
     """
     adj_v = adj.values
     if x.value.ndim != 4:
-        raise ShapeMismatchError("gcn_forward expects x [B,C,N,W]")
-    n = x.value.shape[2]
+        raise ShapeMismatchError("gcn_forward expects x [C,W,B,N]")
+    n = x.value.shape[3]
     if adj_v.value.shape != (n, n):
         raise ShapeMismatchError(
             f"adjacency shape {adj_v.value.shape} does not match node axis {n}"
@@ -74,12 +75,16 @@ def gcn_forward(x: Variable, adj: AdjacencyMatrix, theta: Variable, bias: Variab
 
 
 def _node_mix(x: Variable, adj: Variable) -> Variable:
-    # adj [N,N] acts on the node axis; matmul broadcasts over (B, C)
-    out_val = np.matmul(adj.value, x.value)
+    # adj [N,N] acts on the trailing node axis: one GEMM over the
+    # (C*W*B, N) view of x
+    n = adj.value.shape[0]
+    x2 = x.value.reshape(-1, n)
+    out_val = (x2 @ adj.value.T).reshape(x.value.shape)
 
     def backward_fn(g):
-        adj.accumulate_grad(np.matmul(g, x.value.transpose(0, 1, 3, 2)).sum(axis=(0, 1)))
-        x.accumulate_grad(np.matmul(adj.value.T, g))
+        g2 = g.reshape(-1, n)
+        adj.accumulate_grad(g2.T @ x2)
+        x.accumulate_grad((g2 @ adj.value).reshape(x.value.shape))
 
     return Variable(out_val, (x, adj), backward_fn)
 

@@ -7,6 +7,14 @@ one forecast per target node. The single-scale variant uses one dilated
 branch per block; the multi-scale variant concatenates several kernel
 size / dilation branches before a 1x1 reduction. Both gate units of a
 block run as one causal convolution composed from their parameters.
+
+Layout: the network takes [B, D, N, W] and permutes it once to the
+[C, W, B, N] (channel, time, batch, node) layout of the autodiff 4-D ops.
+Every activation between the input and the head stays in that layout, so
+each convolution is a set of plain 2-D GEMMs on views (see ``autodiff``).
+The head's output is permuted back to [B, C, N, W] before ``flatten``, so
+the dense weights, every parameter shape and every checkpoint keep their
+meaning, and ``temporal_stack`` returns [B, C, N, W].
 """
 
 from __future__ import annotations
@@ -22,6 +30,10 @@ from .config import ConfigError, int_at_least
 
 SINGLE_SCALE = "single_scale"
 MULTI_SCALE = "multi_scale"
+
+# np.transpose axes: [B, C, N, W] -> [C, W, B, N], and back
+TIME_MAJOR = (1, 3, 0, 2)
+BATCH_MAJOR = (2, 0, 3, 1)
 
 
 # the paper's branch layout of block i, as (kernel_size, dilation) pairs
@@ -271,6 +283,7 @@ class Network:
         _, skip_sum = self._run_blocks(x, final_gcn=False)
         out = ad.conv_1x1(ad.relu(skip_sum), self.head1_w, self.head1_b)
         out = ad.conv_1x1(ad.relu(out), self.head2_w, self.head2_b)
+        out = ad.permute(out, BATCH_MAJOR)
         return ad.dense(ad.flatten(out), self.dense_w, self.dense_b)
 
     def temporal_stack(self, x) -> Variable:
@@ -278,14 +291,15 @@ class Network:
         causality / receptive-field probes (the flatten+dense head mixes
         every timestep by construction)."""
         h, _ = self._run_blocks(ad.as_variable(x), final_gcn=True)
-        return h
+        return ad.permute(h, BATCH_MAJOR)
 
     def _run_blocks(self, x: Variable, final_gcn: bool):
-        """(stack output, summed skip taps). Only the skip taps feed the
-        head, so the final block's graph convolution runs only when
-        final_gcn asks for the stack output; otherwise that output is None."""
+        """(stack output, summed skip taps), both [C, W, B, N], for input x
+        [B, D, N, W]. Only the skip taps feed the head, so the final block's
+        graph convolution runs only when final_gcn asks for the stack
+        output; otherwise that output is None."""
         adj = self.adjacency()
-        h = ad.conv_1x1(x, self.input_w, self.input_b)
+        h = ad.conv_1x1(ad.permute(x, TIME_MAJOR), self.input_w, self.input_b)
         skip_sum = None
         last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):

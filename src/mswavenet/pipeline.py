@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .data import (
     DatasetTensor,
     MinMaxScaler,
@@ -42,6 +42,8 @@ def load_stations(cfg: RunConfig):
 
 
 def prepare(cfg: RunConfig) -> PreparedData:
+    if not cfg.years("split.train_years"):
+        raise ConfigError("no training year, so no scaler can be fitted", "split.train_years")
     node_order = cfg.node_order()
     raw, timestamps = assemble(load_stations(cfg), node_order)
     splits = split_by_years(

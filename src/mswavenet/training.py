@@ -430,7 +430,14 @@ def _metrics(pred: np.ndarray, dataset: DatasetTensor) -> Metrics:
 
 
 def predict_physical(net: Network, dataset: DatasetTensor, scaler: MinMaxScaler, batch_size=256):
-    """Model forecasts de-normalized to m/s, [S, n_targets]."""
+    """Model forecasts de-normalized to m/s, [S, n_targets]. Raises
+    TrainingError if the network forecasts another number of targets."""
+    n_out = len(net.config.target_nodes)
+    if n_out != len(dataset.target_nodes):
+        raise TrainingError(
+            f"the network forecasts {n_out} target nodes, the dataset has "
+            f"{len(dataset.target_nodes)}"
+        )
     preds = []
     for start in range(0, len(dataset), batch_size):
         xb = dataset.inputs[start : start + batch_size]

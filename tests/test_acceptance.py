@@ -67,12 +67,13 @@ def _grad_check(build_loss, leaves):
 
 
 def test_criterion_1_gradient_correctness():
+    """The 4-D ops take [C, W, B, N] activations: channel, time, batch, node."""
     rng = np.random.default_rng(2024)
     worst = 0.0
     for trial in range(20):
         # dilated causal convolution
         k, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-        x = Variable(rng.normal(size=(1, 2, 2, 8)))
+        x = Variable(rng.normal(size=(2, 8, 1, 2)))
         kern = Variable(rng.normal(size=(2, 2, k)))
         worst = max(
             worst,
@@ -80,7 +81,7 @@ def test_criterion_1_gradient_correctness():
         )
         # causal convolution at explicit lags, with bias
         lags = sorted(rng.choice(6, size=int(rng.integers(1, 4)), replace=False).tolist())
-        xl = Variable(rng.normal(size=(1, 2, 2, 8)))
+        xl = Variable(rng.normal(size=(2, 8, 1, 2)))
         kl = Variable(rng.normal(size=(3, 2, len(lags))))
         bl = Variable(rng.normal(size=3))
         worst = max(
@@ -109,30 +110,30 @@ def test_criterion_1_gradient_correctness():
         leaves = [v for r, b, brs in units for v in (r, b, *(k for k, _ in brs))]
         worst = max(worst, _grad_check(compose_loss, leaves))
         # 1x1 convolution
-        x1 = Variable(rng.normal(size=(2, 3, 2, 4)))
+        x1 = Variable(rng.normal(size=(3, 4, 2, 2)))
         w1 = Variable(rng.normal(size=(2, 3)))
         b1 = Variable(rng.normal(size=2))
         worst = max(
             worst, _grad_check(lambda: ad.total(ad.conv_1x1(x1, w1, b1)), [x1, w1, b1])
         )
         # gated unit
-        a = Variable(rng.normal(size=(1, 2, 2, 3)))
-        b = Variable(rng.normal(size=(1, 2, 2, 3)))
+        a = Variable(rng.normal(size=(2, 3, 1, 2)))
+        b = Variable(rng.normal(size=(2, 3, 1, 2)))
         worst = max(
             worst,
             _grad_check(lambda: ad.total(ad.multiply(ad.tanh(a), ad.sigmoid(b))), [a, b]),
         )
         # gated unit as one op over a stacked (filter, gate) pair, with a
         # non-uniform upstream gradient
-        z = Variable(rng.normal(size=(1, 4, 2, 3)))
-        wz = Variable(rng.normal(size=(1, 2, 2, 3)), requires_grad=False)
+        z = Variable(rng.normal(size=(4, 3, 1, 2)))
+        wz = Variable(rng.normal(size=(2, 3, 1, 2)), requires_grad=False)
         worst = max(
             worst,
             _grad_check(lambda: ad.total(ad.multiply(ad.gated_tanh_sigmoid(z), wz)), [z]),
         )
         # graph convolution through the softmax-embedding adjacency
         emb = NodeEmbeddings(3, 2, rng)
-        xg = Variable(rng.normal(size=(1, 2, 3, 4)))
+        xg = Variable(rng.normal(size=(2, 4, 1, 3)))
         theta = Variable(rng.normal(size=(2, 2)))
         bias = Variable(rng.normal(size=2))
 

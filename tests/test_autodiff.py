@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from mswavenet import autodiff as ad
 from mswavenet.autodiff import ShapeMismatchError, Variable
 
+import batch_major
 from conftest import finite_difference, rel_err
 
 
@@ -78,44 +81,46 @@ class TestMatmul:
 
 
 class TestDilatedCausalConv:
+    """Inputs and outputs are [C, W, B, N]: channel, time, batch, node."""
+
     def test_identity_tap(self, rng):
-        x = rng.normal(size=(2, 1, 3, 5))
+        x = rng.normal(size=(1, 5, 2, 3))
         out = ad.conv_time_dilated_causal(Variable(x), Variable(np.ones((1, 1, 1))), 1)
         np.testing.assert_allclose(out.value, x)
 
     def test_k2_d1_sliding_sum(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4)
+        x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1)
         out = ad.conv_time_dilated_causal(
             Variable(x), Variable(np.ones((1, 1, 2))), 1
         )
         np.testing.assert_array_equal(out.value.ravel(), [1.0, 3.0, 5.0, 7.0])
 
     def test_k2_d2_sliding_sum(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4)
+        x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1)
         out = ad.conv_time_dilated_causal(
             Variable(x), Variable(np.ones((1, 1, 2))), 2
         )
         np.testing.assert_array_equal(out.value.ravel(), [1.0, 2.0, 4.0, 6.0])
 
     def test_receptive_field_warning(self):
-        x = Variable(np.zeros((1, 1, 1, 4)))
+        x = Variable(np.zeros((1, 4, 1, 1)))
         with pytest.warns(RuntimeWarning, match="receptive field"):
             ad.conv_time_dilated_causal(x, Variable(np.ones((1, 1, 5))), 1)
 
     def test_causality_perturbation(self, rng):
-        x = rng.normal(size=(1, 2, 1, 10))
+        x = rng.normal(size=(2, 10, 1, 1))
         kern = rng.normal(size=(3, 2, 3))
         base = ad.conv_time_dilated_causal(Variable(x), Variable(kern), 2).value
         t0 = 6
         xp = x.copy()
-        xp[..., t0] += 1.0
+        xp[:, t0] += 1.0
         pert = ad.conv_time_dilated_causal(Variable(xp), Variable(kern), 2).value
-        diff = np.abs(pert - base).sum(axis=(0, 1, 2))
+        diff = np.abs(pert - base).sum(axis=(0, 2, 3))
         assert np.all(diff[:t0] == 0.0)
         assert diff[t0] > 0.0
 
     def test_gradients_vs_finite_difference(self, rng):
-        x_val = rng.normal(size=(2, 2, 2, 6))
+        x_val = rng.normal(size=(2, 6, 2, 2))
         k_val = rng.normal(size=(3, 2, 2))
         x, k = Variable(x_val), Variable(k_val)
         ad.backward(ad.total(ad.conv_time_dilated_causal(x, k, 2)))
@@ -133,21 +138,59 @@ class TestDilatedCausalConv:
         assert rel_err(x.grad, finite_difference(loss_x, x_val)) < 1e-6
         assert rel_err(k.grad, finite_difference(loss_k, k_val)) < 1e-6
 
+    @pytest.mark.parametrize("lags", [[0], [2, 0], [0, 3, 1], [5, 1], [9, 0, 4], [7]])
+    def test_matches_batch_major_reference(self, rng, lags):
+        """Forward and every gradient equal the [B, C, N, W] implementation,
+        also for taps whose lag reaches past the window and without lag 0."""
+        x_val = rng.normal(size=(3, 6, 2, 4))
+        k_val = rng.normal(size=(5, 3, len(lags)))
+        b_val = rng.normal(size=5)
+        w_val = rng.normal(size=(5, 6, 2, 4))
+        to_bm = batch_major.from_time_major
+        results = []
+        for conv, x_in, w in ((ad.conv_time_causal, x_val, w_val),
+                              (batch_major.conv_time_causal, to_bm(x_val), to_bm(w_val))):
+            x, k, b = Variable(x_in), Variable(k_val), Variable(b_val)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # lag 9 >= window 6
+                out = conv(x, k, lags, b)
+            ad.backward(ad.total(ad.multiply(out, Variable(w, requires_grad=False))))
+            results.append([out.value, x.grad, k.grad, b.grad])
+        results[0][:2] = [to_bm(a) for a in results[0][:2]]
+        for got, want in zip(*results):
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_strided_input_view(self, rng):
+        """A transposed view of x gives the same output and gradients as a
+        contiguous copy of it."""
+        view = rng.normal(size=(2, 3, 4, 6)).transpose(1, 3, 0, 2)  # [C, W, B, N]
+        assert not view.flags.c_contiguous
+        k_val = rng.normal(size=(5, 3, 3))
+        w = Variable(rng.normal(size=(5, 6, 2, 4)), requires_grad=False)
+        results = []
+        for x_val in (view, np.ascontiguousarray(view)):
+            x, k = Variable(x_val), Variable(k_val)
+            out = ad.conv_time_causal(x, k, [0, 1, 3])
+            ad.backward(ad.total(ad.multiply(out, w)))
+            results.append([out.value, x.grad, k.grad])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestConv1x1:
     def test_identity(self, rng):
-        x = rng.normal(size=(2, 3, 4, 5))
+        x = rng.normal(size=(3, 5, 2, 4))
         out = ad.conv_1x1(Variable(x), Variable(np.eye(3)), Variable(np.zeros(3)))
         np.testing.assert_allclose(out.value, x)
 
     def test_channel_sum(self):
-        x = np.zeros((1, 2, 1, 1))
-        x[0, :, 0, 0] = [3.0, 4.0]
+        x = np.zeros((2, 1, 1, 1))
+        x[:, 0, 0, 0] = [3.0, 4.0]
         out = ad.conv_1x1(Variable(x), Variable([[1.0, 1.0]]), Variable([0.0]))
         assert float(out.value[0, 0, 0, 0]) == 7.0
 
     def test_gradient_vs_finite_difference(self, rng):
-        x_val = rng.normal(size=(2, 3, 2, 4))
+        x_val = rng.normal(size=(3, 4, 2, 2))
         w_val = rng.normal(size=(2, 3))
         b_val = rng.normal(size=2)
         x, w, b = Variable(x_val), Variable(w_val), Variable(b_val)
@@ -161,27 +204,59 @@ class TestConv1x1:
 
 class TestConcat:
     def test_single_argument(self, rng):
-        x = rng.normal(size=(1, 2, 3, 4))
+        x = rng.normal(size=(2, 4, 1, 3))
         np.testing.assert_array_equal(ad.concat_channels([Variable(x)]).value, x)
 
     def test_widths_and_slices(self, rng):
-        a = rng.normal(size=(1, 2, 3, 4))
-        b = rng.normal(size=(1, 3, 3, 4))
+        a = rng.normal(size=(2, 4, 1, 3))
+        b = rng.normal(size=(3, 4, 1, 3))
         out = ad.concat_channels([Variable(a), Variable(b)])
-        assert out.value.shape == (1, 5, 3, 4)
-        np.testing.assert_array_equal(out.value[:, :2], a)
-        np.testing.assert_array_equal(out.value[:, 2:], b)
+        assert out.value.shape == (5, 4, 1, 3)
+        np.testing.assert_array_equal(out.value[:2], a)
+        np.testing.assert_array_equal(out.value[2:], b)
 
     def test_backward_splits_ones(self, rng):
-        a = Variable(rng.normal(size=(1, 2, 3, 4)))
-        b = Variable(rng.normal(size=(1, 3, 3, 4)))
+        a = Variable(rng.normal(size=(2, 4, 1, 3)))
+        b = Variable(rng.normal(size=(3, 4, 1, 3)))
         ad.backward(ad.total(ad.concat_channels([a, b])))
         np.testing.assert_array_equal(a.grad, np.ones(a.value.shape))
         np.testing.assert_array_equal(b.grad, np.ones(b.value.shape))
 
     def test_non_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            ad.concat_channels([Variable(np.ones((1, 2, 3, 4))), Variable(np.ones((1, 2, 3, 5)))])
+            ad.concat_channels([Variable(np.ones((2, 4, 1, 3))), Variable(np.ones((2, 5, 1, 3)))])
+
+
+class TestPermute:
+    def test_values_are_a_contiguous_transpose(self, rng):
+        x = rng.normal(size=(2, 3, 4, 5))
+        out = ad.permute(Variable(x), (1, 3, 0, 2)).value
+        np.testing.assert_array_equal(out, x.transpose(1, 3, 0, 2))
+        assert out.flags.c_contiguous
+
+    def test_gradient_is_permuted_back(self, rng):
+        x = Variable(rng.normal(size=(2, 3, 4, 5)))
+        w = rng.normal(size=(3, 5, 2, 4))
+        ad.backward(ad.total(ad.multiply(ad.permute(x, (1, 3, 0, 2)), Variable(w, requires_grad=False))))
+        np.testing.assert_array_equal(x.grad, w.transpose(2, 0, 3, 1))
+        assert x.grad.flags.c_contiguous
+
+
+class TestUpstreamGradientUnchanged:
+    """A backward may not change in place the gradient it is handed: the
+    Variable it came from, or another one, may hold that array."""
+
+    @pytest.mark.parametrize(
+        "op", [ad.relu, ad.gated_tanh_sigmoid], ids=["relu", "gated_tanh_sigmoid"]
+    )
+    def test_backward_leaves_g_as_it_was(self, rng, op):
+        x = Variable(rng.normal(size=(4, 3, 2, 2)))
+        out = op(x)
+        g = rng.normal(size=out.value.shape)
+        before = g.copy()
+        out._backward(g)
+        np.testing.assert_array_equal(g, before)
+        assert x.grad is not g and not np.shares_memory(x.grad, g)
 
 
 class TestSoftmaxRows:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mswavenet.cli import main
@@ -362,6 +362,35 @@ class TestBadInputExitsOne:
         assert f"{path}: node_order: " in capfd.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            (["data.target_nodes=node1"], "data.target_nodes"),
+            (["model.window=12"], "model.window"),
+            (["model.horizon=12"], "model.horizon"),
+            (["data.node_order=node0,node2", "data.target_nodes=node0,node2"], "data.node_order"),
+        ],
+        ids=["targets", "window", "horizon", "stations"],
+    )
+    def test_command_config_must_fit_the_model(
+        self, workdir, tmp_path, capfd, command, settings, key
+    ):
+        """A checkpoint with neither run_config nor node_order runs with the
+        command's config, which must give the model's stations, window,
+        horizon and target nodes."""
+        ckpt = Checkpoint.load(self.library_checkpoint(workdir, tmp_path))
+        ckpt.node_order = None
+        path = tmp_path / "bare.bin"
+        ckpt.save(path)
+        overrides = [a for setting in settings for a in ("--set", setting)]
+        rc = main(
+            workdir["argv"] + overrides + ["--set", f"out.dir={tmp_path}/out", command, str(path)]
+        )
+        assert rc == 1
+        assert f"{path}: {key} gives " in capfd.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["eval", "dump-plot-data"])
     def test_empty_test_split_exits_one(self, workdir, tmp_path, capfd, command):
         path = self.library_checkpoint(workdir, tmp_path)
@@ -420,6 +449,7 @@ class TestBadInputExitsOne:
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(key=st.sampled_from(sorted(DEFAULTS)), value=_json_values)
+    @example(key="split.train_years", value="")
     def test_mutated_run_config_exits_zero_or_one(self, workdir, tmp_path, capfd, key, value):
         """One run_config key of the trained checkpoint set to a JSON value:
         every command exits 0 with finite output, or exits 1 naming the

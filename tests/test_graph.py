@@ -14,6 +14,8 @@ from mswavenet.graph import (
     load_adjacency_csv,
 )
 
+import batch_major
+
 
 def embeddings_from(e1, e2):
     emb = NodeEmbeddings(e1.shape[0], e1.shape[1])
@@ -62,8 +64,10 @@ def identity_adj(n):
 
 
 class TestGcnForward:
+    """Inputs and outputs are [C, W, B, N]: channel, time, batch, node."""
+
     def test_identity_map(self, rng):
-        x = rng.normal(size=(2, 3, 4, 5))
+        x = rng.normal(size=(3, 5, 2, 4))
         out = gcn_forward(
             Variable(x), identity_adj(4), Variable(np.eye(3)), Variable(np.zeros(3))
         )
@@ -71,18 +75,18 @@ class TestGcnForward:
 
     def test_uniform_adjacency_node_mean(self, rng):
         n = 4
-        x = rng.normal(size=(2, 3, n, 5))
+        x = rng.normal(size=(3, 5, 2, n))
         adj = AdjacencyMatrix(
             Variable(np.full((n, n), 1.0 / n), requires_grad=False), list("abcd")
         )
         out = gcn_forward(Variable(x), adj, Variable(np.eye(3)), Variable(np.zeros(3)))
-        expected = np.repeat(x.mean(axis=2, keepdims=True), n, axis=2)
+        expected = np.repeat(x.mean(axis=3, keepdims=True), n, axis=3)
         np.testing.assert_allclose(out.value, expected)
 
     def test_embedding_gradients_through_adjacency(self, rng):
         emb = NodeEmbeddings(4, 3, rng)
         adj = adjacency_softmax(emb)
-        x = Variable(rng.normal(size=(2, 3, 4, 5)))
+        x = Variable(rng.normal(size=(3, 5, 2, 4)))
         out = gcn_forward(x, adj, Variable(rng.normal(size=(3, 3))), Variable(np.zeros(3)))
         ad.backward(ad.mse_loss(out, np.zeros(out.value.shape)))
         assert np.any(emb.e1.grad != 0)
@@ -91,7 +95,7 @@ class TestGcnForward:
     def test_node_mismatch(self, rng):
         with pytest.raises(ShapeMismatchError):
             gcn_forward(
-                Variable(np.zeros((1, 2, 5, 3))),
+                Variable(np.zeros((2, 3, 1, 5))),
                 identity_adj(4),
                 Variable(np.eye(2)),
                 Variable(np.zeros(2)),
@@ -102,18 +106,38 @@ class TestGcnForward:
         e1 = rng.normal(size=(n, 4))
         e2 = rng.normal(size=(n, 4))
         theta = rng.normal(size=(2, 2))
-        x = rng.normal(size=(1, 2, n, 6))
+        x = rng.normal(size=(2, 6, 1, n))
         perm = np.array([2, 0, 1])
         out = gcn_forward(
             Variable(x), adjacency_softmax(embeddings_from(e1, e2)), Variable(theta), Variable(np.zeros(2))
         ).value
         out_p = gcn_forward(
-            Variable(x[:, :, perm]),
+            Variable(x[..., perm]),
             adjacency_softmax(embeddings_from(e1[perm], e2[perm])),
             Variable(theta),
             Variable(np.zeros(2)),
         ).value
-        np.testing.assert_allclose(out_p, out[:, :, perm], atol=1e-12)
+        np.testing.assert_allclose(out_p, out[..., perm], atol=1e-12)
+
+    def test_matches_batch_major_reference(self, rng):
+        """Forward and every gradient, the adjacency's included, equal the
+        [B, C, N, W] implementation."""
+        x_val = rng.normal(size=(3, 5, 2, 4))
+        w_val = rng.normal(size=(2, 5, 2, 4))
+        theta_val, bias_val = rng.normal(size=(2, 3)), rng.normal(size=2)
+        emb = NodeEmbeddings(4, 3, rng)
+        to_bm = batch_major.from_time_major
+        results = []
+        for gcn, x_in, w in ((gcn_forward, x_val, w_val),
+                             (batch_major.gcn_forward, to_bm(x_val), to_bm(w_val))):
+            emb.e1.grad = emb.e2.grad = None
+            x, theta, bias = Variable(x_in), Variable(theta_val), Variable(bias_val)
+            out = gcn(x, adjacency_softmax(emb), theta, bias)
+            ad.backward(ad.total(ad.multiply(out, Variable(w, requires_grad=False))))
+            results.append([out.value, x.grad, theta.grad, bias.grad, emb.e1.grad, emb.e2.grad])
+        results[0][:2] = [to_bm(a) for a in results[0][:2]]
+        for got, want in zip(*results):
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestExportAdjacency:

@@ -5,8 +5,10 @@ from mswavenet import autodiff as ad
 from mswavenet import graph
 from mswavenet.autodiff import ShapeMismatchError, Variable
 from mswavenet.model import (
+    BATCH_MAJOR,
     MULTI_SCALE,
     SINGLE_SCALE,
+    TIME_MAJOR,
     ConfigError,
     ModelConfig,
     Network,
@@ -14,6 +16,8 @@ from mswavenet.model import (
     default_branch_specs,
     receptive_field,
 )
+
+import batch_major
 
 
 def small_config(**over):
@@ -167,13 +171,13 @@ class TestTcnSubunit:
         unit.kernels[0] = (unit.kernels[0][0], Variable(np.eye(2).reshape(2, 2, 1)))
         unit.reduce_w = Variable(np.eye(2))
         unit.reduce_b = Variable(np.zeros(2))
-        x = np.random.default_rng(1).normal(size=(2, 2, 3, 5))
+        x = np.random.default_rng(1).normal(size=(2, 5, 2, 3))  # [C, W, B, N]
         np.testing.assert_allclose(unit.forward(Variable(x)).value, x)
 
     def test_output_width_preserved(self, rng):
         unit = _TcnSubunit("t", 3, [(2, 1), (3, 2), (6, 3)], np.random.default_rng(0))
-        out = unit.forward(Variable(rng.normal(size=(2, 3, 4, 20))))
-        assert out.value.shape == (2, 3, 4, 20)
+        out = unit.forward(Variable(rng.normal(size=(3, 20, 2, 4))))
+        assert out.value.shape == (3, 20, 2, 4)
 
     def test_branch_count_in_parameters(self):
         unit = _TcnSubunit("t", 3, [(2, 1), (3, 2), (6, 3)], np.random.default_rng(0))
@@ -245,7 +249,7 @@ class TestNetworkForward:
     def test_gated_activation_bounded(self, rng):
         """tanh * sigmoid output of each block's gate lies in (-1, 1)."""
         net = Network(small_config(), seed=0)
-        x = Variable(10.0 * rng.normal(size=(1, 4, 3, 16)), requires_grad=False)
+        x = Variable(10.0 * rng.normal(size=(4, 16, 1, 3)), requires_grad=False)  # [D, W, B, N]
         adj = net.adjacency()
         h = ad.conv_1x1(x, net.input_w, net.input_b)
         block = net.blocks[0]
@@ -260,7 +264,7 @@ class TestNetworkForward:
         block = net.blocks[0]
         block.gcn_theta.value[:] = 0.0
         block.gcn_bias.value[:] = 0.0
-        h = Variable(rng.normal(size=(2, 4, 3, 16)), requires_grad=False)
+        h = Variable(rng.normal(size=(4, 16, 2, 3)), requires_grad=False)  # [C, W, B, N]
         out, _tap = block.forward(h, net.adjacency())
         np.testing.assert_array_equal(out.value, h.value)
 
@@ -347,7 +351,8 @@ def _reference_tcn(unit, x):
 def _reference_forward(net, x):
     """Network.forward built op by op, without the composed gate-pair conv."""
     adj = net.adjacency()
-    h = ad.conv_1x1(Variable(x, requires_grad=False), net.input_w, net.input_b)
+    x = ad.permute(Variable(x, requires_grad=False), TIME_MAJOR)
+    h = ad.conv_1x1(x, net.input_w, net.input_b)
     skip_sum = None
     for block in net.blocks:
         gated = ad.multiply(
@@ -358,7 +363,7 @@ def _reference_forward(net, x):
         skip_sum = tap if skip_sum is None else ad.add(skip_sum, tap)
     out = ad.conv_1x1(ad.relu(skip_sum), net.head1_w, net.head1_b)
     out = ad.conv_1x1(ad.relu(out), net.head2_w, net.head2_b)
-    return ad.dense(ad.flatten(out), net.dense_w, net.dense_b)
+    return ad.dense(ad.flatten(ad.permute(out, BATCH_MAJOR)), net.dense_w, net.dense_b)
 
 
 CRITERION_5_SIZE = dict(
@@ -390,3 +395,41 @@ class TestComposedGateEquivalence:
                 assert fused_grads[name] is None, name
             else:
                 assert np.abs(fused_grads[name] - g).max() <= 1e-12, name
+
+
+class TestTimeMajorEquivalence:
+    """Network.forward against the [B, C, N, W] ops it replaced
+    (tests/batch_major.py), on the same parameters."""
+
+    @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
+    @pytest.mark.parametrize(
+        "size, batch", [(CRITERION_5_SIZE, 64), ({}, 2)], ids=["criterion5", "paper"]
+    )
+    def test_forecasts_and_gradients_match_batch_major(self, variant, size, batch, rng):
+        net = Network(ModelConfig(variant=variant, **size), seed=3)
+        for _, p in net.parameters():  # biases start at zero; make every one count
+            p.value = p.value + 0.1 * rng.normal(size=p.value.shape)
+        cfg = net.config
+        x_val = rng.normal(size=(batch, cfg.num_features, cfg.num_nodes, cfg.window))
+        target = rng.normal(size=(batch, len(cfg.target_nodes)))
+        results = []
+        for forward in (net.forward, lambda v: batch_major.forward(net, v)):
+            net.zero_grad()
+            x = Variable(x_val)  # the input gradient flows through permute
+            pred = forward(x)
+            ad.backward(ad.mse_loss(pred, target))
+            results.append((pred.value, x.grad, {n: p.grad for n, p in net.parameters()}))
+        (pred, x_grad, grads), (ref, ref_x_grad, ref_grads) = results
+        assert np.abs(pred - ref).max() <= 1e-12
+        assert x_grad.shape == x_val.shape and np.any(x_grad != 0)
+        assert np.abs(x_grad - ref_x_grad).max() <= 1e-12
+        for name, g in ref_grads.items():
+            if g is None:
+                assert grads[name] is None, name
+            else:
+                assert np.abs(grads[name] - g).max() <= 1e-12, name
+
+    def test_temporal_stack_is_batch_major(self, rng):
+        net = Network(small_config(residual_channels=5), seed=0)
+        x = rng.normal(size=(2, 4, 3, 16))
+        assert net.temporal_stack(x).value.shape == (2, 5, 3, 16)

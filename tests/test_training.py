@@ -588,6 +588,14 @@ class TestMetricsAndBaseline:
             tracemalloc.stop()
         assert 3 * without_tape <= recording, (without_tape, recording)
 
+    def test_predict_rejects_another_target_count(self, rng):
+        """A network for one target on a dataset of two raises, instead of
+        leaving the second column of its output uninitialised."""
+        ds, scaler = tiny_dataset(rng)
+        net = Network(tiny_config(target_nodes=[1]), seed=0)
+        with pytest.raises(TrainingError, match="forecasts 1 target nodes, the dataset has 2"):
+            predict_physical(net, ds, scaler)
+
     def test_scaler_mismatch_rejected(self, rng):
         ds, scaler = tiny_dataset(rng)
         other = MinMaxScaler.fit(rng.uniform(5, 9, size=(20, 4, 2)))
