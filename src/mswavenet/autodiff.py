@@ -387,7 +387,7 @@ def conv_time_dilated_causal(x, kernel, dilation: int) -> Variable:
     return conv_time_causal(x, kernel, dilated_lags(K, dilation))
 
 
-def compose_causal_kernel(units, lags):
+def compose_causal_kernel(units, lags, values=None):
     """Kernel and bias of the one causal convolution that equals S stacked
     branch -> concat -> 1x1-reduce units.
 
@@ -397,6 +397,11 @@ def compose_causal_kernel(units, lags):
     s*Co:(s+1)*Co hold, at lag (K-1-k)*d, the sum over branches i of
     reduce_w[:, i*Cb:(i+1)*Cb] @ kernel_i[:, :, k]. Returns the kernel
     [S*Co, Ci, len(lags)] and the bias [S*Co] (the stacked reduce biases).
+
+    values: optionally the (kernel, bias) arrays this composition of the
+    units' current parameters gave before. They become the outputs' values
+    and nothing is composed; the outputs record the same parents and
+    backward, which never read those values.
     """
     index = {lag: j for j, lag in enumerate(lags)}
     reduces = [as_variable(w) for w, _, _ in units]
@@ -417,11 +422,15 @@ def compose_causal_kernel(units, lags):
                 f"do not map {start} branch channels to {Co}"
             )
     rows = [slice(s * Co, (s + 1) * Co) for s in range(len(reduces))]
-    kernel_val = np.zeros((len(reduces) * Co, Ci, len(index)))
-    for s, cols, kern, taps in plan:
-        Cb, _, K = kern.value.shape
-        mixed = reduces[s].value[:, cols] @ kern.value.reshape(Cb, Ci * K)
-        kernel_val[rows[s], :, taps] += mixed.reshape(Co, Ci, K)
+    if values is None:
+        kernel_val = np.zeros((len(reduces) * Co, Ci, len(index)))
+        for s, cols, kern, taps in plan:
+            Cb, _, K = kern.value.shape
+            mixed = reduces[s].value[:, cols] @ kern.value.reshape(Cb, Ci * K)
+            kernel_val[rows[s], :, taps] += mixed.reshape(Co, Ci, K)
+        bias_val = np.concatenate([b.value for b in biases])
+    else:
+        kernel_val, bias_val = values
 
     def kernel_backward(g):
         g_reduce = [np.empty_like(r.value) for r in reduces]
@@ -439,7 +448,7 @@ def compose_causal_kernel(units, lags):
 
     parents = tuple(reduces) + tuple(kern for _, _, kern, _ in plan)
     kernel = Variable(kernel_val, parents, kernel_backward)
-    bias = Variable(np.concatenate([b.value for b in biases]), tuple(biases), bias_backward)
+    bias = Variable(bias_val, tuple(biases), bias_backward)
     return kernel, bias
 
 

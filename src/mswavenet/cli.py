@@ -195,6 +195,18 @@ _DATA_SHAPE_KEYS = (
 )
 
 
+def _check_data_shape(path, cfg: RunConfig, ckpt: Checkpoint, keys):
+    """Raise CheckpointError naming the first of keys whose value in cfg
+    does not give the checkpoint's model field."""
+    command = cfg.model_config()
+    for key, field in keys:
+        ours, stored = getattr(command, field), ckpt.config[field]
+        if ours != stored:
+            raise CheckpointError(
+                f"{path}: {key} gives {field} {ours!r}, the checkpoint's model has {stored!r}"
+            )
+
+
 def _load_checkpoint(args, cli_cfg: RunConfig):
     """(config, network, scaler) for a command run on args.checkpoint. The
     config is the RunConfig stored in the checkpoint, with CLI overrides for
@@ -220,19 +232,18 @@ def _load_checkpoint(args, cli_cfg: RunConfig):
                     f"{path}: run_config does not describe the checkpoint's model: "
                     f"model.{field} is {value!r} in run_config, {ckpt.config[field]!r} in config"
                 )
+    # the station count first, since a Network takes one name per station;
+    # the rest after build_network has compared any stored station names
+    bare = ckpt.run_config is None
+    if bare:
+        _check_data_shape(path, cfg, ckpt, _DATA_SHAPE_KEYS[:1])
     try:
         net = ckpt.build_network(node_order=cfg.node_order())
         scaler = MinMaxScaler.from_state(ckpt.scaler)
     except (CheckpointError, PipelineError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    if ckpt.run_config is None:
-        command = cfg.model_config()
-        for key, field in _DATA_SHAPE_KEYS:
-            ours, stored = getattr(command, field), getattr(net.config, field)
-            if ours != stored:
-                raise CheckpointError(
-                    f"{path}: {key} gives {field} {ours!r}, the checkpoint's model has {stored!r}"
-                )
+    if bare:
+        _check_data_shape(path, cfg, ckpt, _DATA_SHAPE_KEYS[1:])
     shape = (net.config.num_features, net.config.num_nodes)
     if scaler.mins.shape != shape:
         raise CheckpointError(

@@ -6,7 +6,10 @@ a per-block 1x1 skip tap) -> ReLU/1x1-conv head -> flatten -> dense, giving
 one forecast per target node. The single-scale variant uses one dilated
 branch per block; the multi-scale variant concatenates several kernel
 size / dilation branches before a 1x1 reduction. Both gate units of a
-block run as one causal convolution composed from their parameters.
+block run as one causal convolution composed from their parameters. Each
+block keeps the kernel it last composed and composes again only when one
+of those parameters has changed bit for bit, so repeated forecasts on
+unchanged parameters skip composing (see ``_ComposedCache``).
 
 Layout: the network takes [B, D, N, W] and permutes it once to the
 [C, W, B, N] (channel, time, batch, node) layout of the autodiff 4-D ops.
@@ -158,14 +161,66 @@ def _union_lags(branches):
     return tuple(sorted({lag for k, d in branches for lag in ad.dilated_lags(k, d)}))
 
 
-def _tcn_forward(x: Variable, units) -> Variable:
+def _tcn_forward(x: Variable, units, cache=None) -> Variable:
     """Outputs of TCN subunits that share one branch layout, stacked on the
     channel axis, computed as one causal convolution over the union of their
-    tap lags. Its kernel is composed from the branch and reduce parameters on
-    every call, so gradients reach those parameters unchanged."""
+    tap lags. Its kernel is composed from the branch and reduce parameters,
+    so gradients reach those parameters unchanged. With a ``_ComposedCache``
+    of these units, the kernel is composed again only when one of their
+    parameter values changed; otherwise the stored one is reused."""
     lags = units[0].lags
-    kernel, bias = ad.compose_causal_kernel([u.composition() for u in units], lags)
+    stored = None if cache is None else cache.lookup(units)
+    kernel, bias = ad.compose_causal_kernel(
+        [u.composition() for u in units], lags, values=stored
+    )
+    if cache is not None and stored is None:
+        cache.store(units, kernel.value, bias.value)
     return ad.conv_time_causal(x, kernel, lags, bias)
+
+
+def _param_values(units):
+    return [p.value for u in units for _, p in u.parameters()]
+
+
+class _ComposedCache:
+    """The kernel and bias that a set of TCN subunits was last composed
+    into, with a copy of the bytes of the parameter values they came from.
+
+    Adam and ``load_state_dict`` replace a parameter's ``.value``, and an
+    in-place edit keeps its identity, so ``lookup`` checks both: an array
+    that is not the one last stored is a miss without comparing, and the
+    one last stored must still hold its copied bytes. Every buffer is
+    allocated here and refreshed in place, so the cache keeps no array a
+    forward allocates. Refreshing the kernel in place changes the value of
+    a kernel Variable returned earlier; that is safe because nothing reads
+    it after its forward (``conv_time_causal`` copies its taps, and the
+    composed kernel's backward reads only the parameters).
+    """
+
+    def __init__(self, units):
+        self.copies = [bytearray(v.nbytes) for v in _param_values(units)]
+        self.ids = [None] * len(self.copies)
+        c_out = units[0].reduce_w.value.shape[0]
+        c_in = units[0].kernels[0][1].value.shape[1]
+        self.kernel = np.empty((len(units) * c_out, c_in, len(units[0].lags)))
+        self.bias = np.empty(len(units) * c_out)
+
+    def lookup(self, units):
+        """(kernel, bias) if every parameter value of units is bit for bit
+        the one they were composed from, else None."""
+        for value, seen, copy in zip(_param_values(units), self.ids, self.copies):
+            # an id reused by a new array only costs a comparison
+            if id(value) != seen or value.tobytes() != copy:
+                return None
+        return self.kernel, self.bias
+
+    def store(self, units, kernel, bias):
+        """Keep kernel and bias, composed from the units' current parameters."""
+        np.copyto(self.kernel, kernel)
+        np.copyto(self.bias, bias)
+        for i, value in enumerate(_param_values(units)):
+            self.ids[i] = id(value)
+            self.copies[i][:] = value.tobytes()
 
 
 class _TcnSubunit:
@@ -214,11 +269,14 @@ class _StBlock:
         self.skip_b = Variable(np.zeros(config.skip_channels))
         self.gcn_theta = Variable(_uniform_fan_in(rng, (c, c), c))
         self.gcn_bias = Variable(np.zeros(c))
+        self.gate_cache = _ComposedCache([self.tcn_a, self.tcn_b])
 
     def forward(self, x: Variable, adj: graph.AdjacencyMatrix, gcn: bool = True):
         """(block output, skip tap); the block output is None when gcn is
         False, for a final block whose output nothing reads."""
-        gated = ad.gated_tanh_sigmoid(_tcn_forward(x, [self.tcn_a, self.tcn_b]))
+        gated = ad.gated_tanh_sigmoid(
+            _tcn_forward(x, [self.tcn_a, self.tcn_b], self.gate_cache)
+        )
         skip_tap = ad.conv_1x1(gated, self.skip_w, self.skip_b)
         if not gcn:
             return None, skip_tap
@@ -246,9 +304,13 @@ class Network:
         self.seed = seed
         rng = np.random.default_rng(seed)
         c = config.residual_channels
-        self.node_order = list(node_order) if node_order else [
-            f"node{i}" for i in range(config.num_nodes)
-        ]
+        if node_order is None:
+            node_order = [f"node{i}" for i in range(config.num_nodes)]
+        self.node_order = list(node_order)
+        if len(self.node_order) != config.num_nodes:
+            raise ConfigError(
+                f"{len(self.node_order)} names for {config.num_nodes} nodes", "node_order"
+            )
         self.input_w = Variable(
             _uniform_fan_in(rng, (c, config.num_features), config.num_features)
         )
@@ -280,9 +342,13 @@ class Network:
             raise ad.ShapeMismatchError(
                 f"input shape {x.value.shape} does not match config [B,{expect[0]},{expect[1]},{expect[2]}]"
             )
-        _, skip_sum = self._run_blocks(x, final_gcn=False)
-        out = ad.conv_1x1(ad.relu(skip_sum), self.head1_w, self.head1_b)
-        out = ad.conv_1x1(ad.relu(out), self.head2_w, self.head2_b)
+        # one name through the head, so that without a tape each activation
+        # is freed once the next op has read it
+        out = self._run_blocks(x, final_gcn=False)[1]
+        out = ad.relu(out)
+        out = ad.conv_1x1(out, self.head1_w, self.head1_b)
+        out = ad.relu(out)
+        out = ad.conv_1x1(out, self.head2_w, self.head2_b)
         out = ad.permute(out, BATCH_MAJOR)
         return ad.dense(ad.flatten(out), self.dense_w, self.dense_b)
 

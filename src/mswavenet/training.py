@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from .config import ConfigError
 from .data import WIND_SPEED, DatasetTensor, MinMaxScaler, batch_iter
 from .model import ModelConfig, Network
 
@@ -169,7 +170,10 @@ class Checkpoint:
                 f"node_order: the data's stations are {list(node_order)}, "
                 f"the checkpoint's {self.node_order}"
             )
-        net = Network(ModelConfig.from_dict(self.config), seed=self.seed, node_order=node_order)
+        try:
+            net = Network(ModelConfig.from_dict(self.config), seed=self.seed, node_order=node_order)
+        except ConfigError as exc:
+            raise CheckpointError(str(exc)) from None
         try:
             net.load_state_dict(self.params)
         except (KeyError, ValueError) as exc:  # ShapeMismatchError is a ValueError

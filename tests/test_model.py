@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from mswavenet.model import (
     default_branch_specs,
     receptive_field,
 )
+from mswavenet.training import AdamOptimizer
 
 import batch_major
 
@@ -241,6 +245,11 @@ class TestNetworkForward:
         b = Network(small_config(), seed=11).forward(x).value
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("order", [["a", "b"], ["a", "b", "c", "d"], []])
+    def test_one_name_per_node(self, order):
+        with pytest.raises(ConfigError, match=f"^node_order: {len(order)} names for 3 nodes"):
+            Network(small_config(), node_order=order)
+
     def test_seed_changes_init(self):
         a = Network(small_config(), seed=0).state_dict()
         b = Network(small_config(), seed=1).state_dict()
@@ -433,3 +442,132 @@ class TestTimeMajorEquivalence:
         net = Network(small_config(residual_channels=5), seed=0)
         x = rng.normal(size=(2, 4, 3, 16))
         assert net.temporal_stack(x).value.shape == (2, 5, 3, 16)
+
+
+def _perturbed(variant, rng):
+    """A paper-size network whose every parameter, biases included, counts."""
+    net = Network(ModelConfig(variant=variant), seed=5)
+    for _, p in net.parameters():
+        p.value = p.value + 0.1 * rng.normal(size=p.value.shape)
+    return net
+
+
+def _fresh_copy(net):
+    """A new Network holding net's parameters: its first forward composes
+    every gate kernel, so it is the reference for net's stored kernels."""
+    ref = Network(net.config, seed=net.seed)
+    ref.load_state_dict(net.state_dict())
+    return ref
+
+
+def _forecast(net, x, record):
+    if record:
+        return net.forward(x).value
+    with ad.no_grad():
+        return net.forward(x).value
+
+
+def _adam_step(net, x):
+    ad.backward(ad.mse_loss(net.forward(x), np.zeros((1, 3))))
+    AdamOptimizer(net.parameters(), lr=0.01).step()
+
+
+def _load_state_dict(net, x):
+    state = net.state_dict()
+    state["block1.tcn_b.reduce.weight"] += 0.01
+    net.load_state_dict(state)
+
+
+def _assign_value(net, x):
+    unit = net.blocks[2].tcn_a
+    unit.reduce_w.value = unit.reduce_w.value + 0.01
+
+
+def _edit_branch_kernel(net, x):
+    net.blocks[0].tcn_a.kernels[-1][1].value[0, 0, 0] += 0.01
+
+
+def _edit_reduce_bias(net, x):
+    net.blocks[3].tcn_b.reduce_b.value[1] = 0.5
+
+
+def _replace_variable(net, x):
+    unit = net.blocks[1].tcn_a
+    unit.reduce_b = Variable(unit.reduce_b.value + 0.01)
+
+
+_CHANGES = {
+    "adam": _adam_step,
+    "load_state_dict": _load_state_dict,
+    "assign_value": _assign_value,
+    "edit_branch_kernel": _edit_branch_kernel,
+    "edit_reduce_bias": _edit_reduce_bias,
+    "replace_variable": _replace_variable,
+}
+
+
+class TestComposedCache:
+    """Each block keeps the gate kernel its parameters were last composed
+    into; a forward on the same bits reuses it, any change composes again."""
+
+    @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "no_grad"])
+    def test_forecasts_bitwise_equal_to_a_fresh_network(self, variant, batch, record, rng):
+        net = _perturbed(variant, rng)
+        x = rng.normal(size=(batch, 4, 5, 48))
+        ref = _forecast(_fresh_copy(net), x, record)
+        for _ in range(3):  # a miss, then hits
+            assert _forecast(net, x, record).tobytes() == ref.tobytes()
+            assert all(b.gate_cache.lookup([b.tcn_a, b.tcn_b]) is not None for b in net.blocks)
+
+    @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
+    def test_gradients_bitwise_equal_over_adam_steps(self, variant, rng):
+        net = _perturbed(variant, rng)
+        opt = AdamOptimizer(net.parameters(), lr=0.01)
+        x = rng.normal(size=(2, 4, 5, 48))
+        target = rng.normal(size=(2, 3))
+        for _ in range(3):
+            ref = _fresh_copy(net)
+            _forecast(net, x, record=False)  # store the kernels, so the step hits
+            for model in (net, ref):
+                model.zero_grad()
+                ad.backward(ad.mse_loss(model.forward(x), target))
+            refs = dict(ref.parameters())
+            for name, p in net.parameters():
+                if refs[name].grad is None:
+                    assert p.grad is None, name
+                else:
+                    assert p.grad.tobytes() == refs[name].grad.tobytes(), name
+            opt.step()
+
+    @pytest.mark.parametrize("change", list(_CHANGES))
+    def test_next_forecast_follows_a_changed_parameter(self, change, rng):
+        net = _perturbed(MULTI_SCALE, rng)
+        x = rng.normal(size=(1, 4, 5, 48))
+        before = _forecast(net, x, record=False)
+        _CHANGES[change](net, x)
+        after = _forecast(net, x, record=False)
+        assert after.tobytes() == _forecast(_fresh_copy(net), x, record=False).tobytes()
+        assert not np.array_equal(after, before)
+
+    def test_a_network_dies_after_its_forward(self, rng):
+        net = Network(small_config(), seed=0)
+        alive = weakref.ref(net)
+        net.forward(rng.normal(size=(2, 4, 3, 16)))
+        del net
+        gc.collect()
+        assert alive() is None
+
+    def test_cache_arrays_keep_their_identity_across_a_miss(self, rng):
+        net = _perturbed(MULTI_SCALE, rng)
+        x = rng.normal(size=(1, 4, 5, 48))
+        cache = net.blocks[1].gate_cache
+        units = [net.blocks[1].tcn_a, net.blocks[1].tcn_b]
+        _forecast(net, x, record=False)
+        arrays = [cache.kernel, cache.bias] + cache.copies
+        bias = cache.bias.copy()
+        net.blocks[1].tcn_a.reduce_b.value[0] += 1.0
+        _forecast(net, x, record=False)
+        assert all(a is b for a, b in zip([cache.kernel, cache.bias] + cache.copies, arrays))
+        assert cache.bias[0] == bias[0] + 1.0 and cache.lookup(units) is not None

@@ -399,6 +399,9 @@ class TestCheckpoint:
             ck.build_network(node_order=["a", "b"])
         ck.node_order = None  # written before station names were stored: any names
         assert ck.build_network(node_order=["a", "b"]).node_order == ["a", "b"]
+        for order in (["a"], ["a", "b", "c"], []):  # but one per station
+            with pytest.raises(CheckpointError, match=f"^node_order: {len(order)} names for 2"):
+                ck.build_network(node_order=order)
 
     @pytest.mark.parametrize(
         "edit, message",
