@@ -30,13 +30,16 @@ Layout of the 4-D ops: ``conv_time_causal``, ``conv_time_dilated_causal``,
 ``conv_1x1``, ``gated_tanh_sigmoid`` and ``concat_channels`` take and give
 activations as [C, W, B, N] (channel, time, batch, node). The channel axis
 leads, so each op works on the 2-D (C, W*B*N) view as plain GEMMs, and a
-time lag of k steps is an offset of k*B*N columns of that view: no op
-copies a contiguous input. ``permute`` converts to and from other
-layouts, such as the [B, C, N, W] of a model's input and head.
+time lag of k steps is an offset of k*B*N columns of that view.
+``conv_time_causal`` takes a tap-major kernel [C_out, L, C_in] and runs
+one GEMM per block of steps over a cache-sized scratch buffer of stacked
+taps; no other op copies a contiguous input. ``permute`` converts to and
+from other layouts, such as the [B, C, N, W] of a model's input and head.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import warnings
 
@@ -62,6 +65,10 @@ def no_grad():
         _recording = previous
 
 
+def _records(parents) -> bool:  # whether an op over parents records its backward
+    return _recording and any(p.requires_grad for p in parents)
+
+
 class Variable:
     """A node in the computation graph.
 
@@ -75,7 +82,7 @@ class Variable:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         parents = tuple(parents)
-        if parents and not (_recording and any(p.requires_grad for p in parents)):
+        if parents and not _records(parents):
             parents, backward_fn, requires_grad = (), None, False
         self.requires_grad = bool(requires_grad)
         self.parents = parents
@@ -285,85 +292,111 @@ def matmul(a, b) -> Variable:
     return Variable(out_val, (a, b), backward_fn)
 
 
-def _tap_sum(out, taps, src, reverse=False):
-    """Fill out [R, M] with a sum of 2-D GEMMs, one per tap (s, mat), each
-    shifted s columns: out[:, s:] += mat @ src[:, :M-s], or with reverse
-    (its transpose) out[:, :M-s] += mat @ src[:, s:]. taps come in
-    ascending s; a first tap at s = 0 is written in place, with no
-    temporary, and columns no tap reaches are zero."""
+_BLOCK_COLS = 1024  # steps x B*N columns per GEMM of conv_time_causal (swept in CHANGES.md)
+
+
+def _tap_sum(out, taps, src):
+    """Fill out [R, M] with the transpose of a causal convolution's shifted
+    taps (s, mat): out[:, :M-s] += mat @ src[:, s:]. taps come in ascending
+    s; a first tap at s = 0 is written in place, with no temporary, and
+    columns no tap reaches are zero."""
     M = out.shape[1]
     if not taps or taps[0][0]:
         out[...] = 0.0
     for i, (s, mat) in enumerate(taps):
-        dst, rd = (out[:, : M - s], src[:, s:]) if reverse else (out[:, s:], src[:, : M - s])
         if i == 0 and s == 0:
-            np.matmul(mat, rd, out=dst)
+            np.matmul(mat, src, out=out)
         else:
-            dst += mat @ rd
+            out[:, : M - s] += mat @ src[:, s:]
 
 
 def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
     """Causal convolution along the time axis at explicit tap lags.
 
-    x: [C_in, W, B, N], kernel: [C_out, C_in, L], lags: L non-negative
-    ints, bias: [C_out] or None. out[:, t] = sum_l kernel[:, :, l] applied
-    to x[:, t - lags[l]] (+ bias), reading zeros before t = 0, so output
-    length equals W and out[:, t] depends only on in[:, t'] with t' <= t.
-    Over the (C, W*B*N) view a lag is a column offset, so each tap is one
-    2-D GEMM on views of x; a tap with lag >= W reads only padding and is
-    skipped.
+    x: [C_in, W, B, N], kernel: [C_out, L, C_in] (tap-major), lags: L
+    non-negative ints, bias: [C_out] or None. out[:, t] = sum_l
+    kernel[:, l] applied to x[:, t - lags[l]] (+ bias), reading zeros before
+    t = 0, so output length equals W and out[:, t] depends only on
+    in[:, t'] with t' <= t.
+
+    One GEMM per block of ``_BLOCK_COLS // (B*N)`` steps: the j taps that
+    reach the block, in ascending lag, are stacked into a scratch buffer
+    [j*C_in, steps*B*N], zero where a tap reads before t = 0, and multiplied
+    by the first j*C_in columns of the kernel's (C_out, L*C_in) view. A tap
+    with lag >= W is never multiplied. The kernel is copied only when the
+    op records, for its backward.
     """
     x, kernel = as_variable(x), as_variable(kernel)
     if x.value.ndim != 4 or kernel.value.ndim != 3:
-        raise ShapeMismatchError("expected x [C,W,B,N] and kernel [Co,Ci,L]")
+        raise ShapeMismatchError("expected x [C,W,B,N] and kernel [Co,L,Ci]")
     lags = list(lags)
+    for lag in lags:
+        if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)):
+            raise ValueError(f"lag {lag!r} is not an int")
+    lags = [int(lag) for lag in lags]
     if not lags or min(lags) < 0:
         raise ValueError("a causal convolution needs at least one tap and lags >= 0")
-    if len(lags) != kernel.value.shape[2]:
+    if len(lags) != kernel.value.shape[1]:
         raise ShapeMismatchError(
-            f"kernel has {kernel.value.shape[2]} taps but {len(lags)} lags were given"
+            f"kernel has {kernel.value.shape[1]} taps but {len(lags)} lags were given"
         )
-    if x.value.shape[0] != kernel.value.shape[1]:
+    if x.value.shape[0] != kernel.value.shape[2]:
         raise ShapeMismatchError(
-            f"channel mismatch: x has {x.value.shape[0]}, kernel wants {kernel.value.shape[1]}"
+            f"channel mismatch: x has {x.value.shape[0]}, kernel wants {kernel.value.shape[2]}"
         )
     Ci, W, B, N = x.value.shape
-    Co, _, L = kernel.value.shape
+    Co, L, _ = kernel.value.shape
     if bias is not None:
         bias = as_variable(bias)
         if bias.value.shape != (Co,):
             raise ShapeMismatchError(f"bias shape {bias.value.shape} != ({Co},)")
-    pad = max(lags)
-    if pad >= W:
+    if max(lags) >= W:
         warnings.warn(
-            f"receptive field: largest lag {pad} >= window {W}: earliest taps read only padding",
+            f"receptive field: largest lag {max(lags)} >= window {W}: earliest taps read only padding",
             RuntimeWarning,
             stacklevel=2,
         )
-    # (column shift, tap) of every tap that reads an input step, lag 0 first
-    shifts = sorted((lag * B * N, l) for l, lag in enumerate(lags) if lag < W)
+    S = B * N
+    order = sorted(range(L), key=lags.__getitem__)
+    steps = [lags[l] for l in order]  # ascending
+    w = kernel.value if order == list(range(L)) else kernel.value[:, order]
     x2 = x.value.reshape(Ci, -1)
     M = x2.shape[1]
-    taps = np.ascontiguousarray(kernel.value.transpose(2, 0, 1))  # [L, Co, Ci]
     out_val = np.empty((Co, W, B, N))
     out2 = out_val.reshape(Co, -1)
-    _tap_sum(out2, [(s, taps[l]) for s, l in shifts], x2)
+    tc = max(1, _BLOCK_COLS // S)
+    scratch = np.empty(L * Ci * min(tc, W) * S)
+    for t0 in range(0, W, tc):
+        n = min(tc, W - t0)
+        j = bisect.bisect_right(steps, t0 + n - 1)  # the taps that reach this block
+        cols = scratch[: j * Ci * n * S].reshape(j * Ci, n * S)
+        for i, lag in enumerate(steps[:j]):
+            pad = max(lag - t0, 0) * S
+            rows = cols[i * Ci : (i + 1) * Ci]
+            rows[:, :pad] = 0.0
+            rows[:, pad:] = x2[:, (t0 - lag) * S + pad : (t0 + n - lag) * S]
+        # a view of a C-ordered kernel; with j = 0 the empty product is zero
+        np.matmul(w.reshape(Co, -1)[:, : j * Ci], cols, out=out2[:, t0 * S : (t0 + n) * S])
     if bias is not None:
         out2 += bias.value[:, None]
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    # a stored kernel may be refreshed in place (see model._ComposedCache)
+    # before this backward runs, so the backward reads its own copy
+    w_kept = w.copy() if _records(parents) else None
+    shifts = [(lag * S, i) for i, lag in enumerate(steps) if lag < W]
 
     def backward_fn(g):
         g2 = g.reshape(Co, -1)
-        gk = np.zeros_like(kernel.value)
-        for s, l in shifts:
-            gk[:, :, l] = g2[:, s:] @ x2[:, : M - s].T
+        gk = np.zeros((Co, L, Ci))
+        for s, i in shifts:
+            np.matmul(g2[:, s:], x2[:, : M - s].T, out=gk[:, order[i]])
         kernel.accumulate_grad(gk)
         if bias is not None:
             bias.accumulate_grad(g2.sum(axis=1))
         gx = np.empty(x.value.shape)  # C order, so its reshape is a view
-        _tap_sum(gx.reshape(Ci, -1), [(s, taps[l].T) for s, l in shifts], g2, reverse=True)
+        _tap_sum(gx.reshape(Ci, -1), [(s, w_kept[:, i].T) for s, i in shifts], g2)
         x.accumulate_grad(gx)
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
     return Variable(out_val, parents, backward_fn)
 
 
@@ -378,13 +411,16 @@ def conv_time_dilated_causal(x, kernel, dilation: int) -> Variable:
     x: [C_in, W, B, N], kernel: [C_out, C_in, K]. Tap k reads lag
     (K-1-k)*dilation, as if the input were left-padded with (K-1)*dilation
     zeros, so output length equals W and out[:, t] depends only on
-    in[:, t'] with t' <= t.
+    in[:, t'] with t' <= t. The kernel reaches ``conv_time_causal``
+    through a recorded ``permute`` to its tap-major layout.
     """
     kernel = as_variable(kernel)
     if dilation < 1:
         raise ValueError("dilation must be >= 1")
-    K = kernel.value.shape[2] if kernel.value.ndim == 3 else 0
-    return conv_time_causal(x, kernel, dilated_lags(K, dilation))
+    if kernel.value.ndim != 3:
+        raise ShapeMismatchError("expected kernel [Co,Ci,K]")
+    lags = dilated_lags(kernel.value.shape[2], dilation)
+    return conv_time_causal(x, permute(kernel, (0, 2, 1)), lags)
 
 
 def compose_causal_kernel(units, lags, values=None):
@@ -396,7 +432,8 @@ def compose_causal_kernel(units, lags, values=None):
     reduce are linear, so unit s is the convolution over ``lags`` whose rows
     s*Co:(s+1)*Co hold, at lag (K-1-k)*d, the sum over branches i of
     reduce_w[:, i*Cb:(i+1)*Cb] @ kernel_i[:, :, k]. Returns the kernel
-    [S*Co, Ci, len(lags)] and the bias [S*Co] (the stacked reduce biases).
+    [S*Co, len(lags), Ci], tap-major as ``conv_time_causal`` takes it, and
+    the bias [S*Co] (the stacked reduce biases).
 
     values: optionally the (kernel, bias) arrays this composition of the
     units' current parameters gave before. They become the outputs' values
@@ -422,12 +459,13 @@ def compose_causal_kernel(units, lags, values=None):
                 f"do not map {start} branch channels to {Co}"
             )
     rows = [slice(s * Co, (s + 1) * Co) for s in range(len(reduces))]
+
     if values is None:
-        kernel_val = np.zeros((len(reduces) * Co, Ci, len(index)))
+        kernel_val = np.zeros((len(reduces) * Co, len(index), Ci))
         for s, cols, kern, taps in plan:
             Cb, _, K = kern.value.shape
             mixed = reduces[s].value[:, cols] @ kern.value.reshape(Cb, Ci * K)
-            kernel_val[rows[s], :, taps] += mixed.reshape(Co, Ci, K)
+            kernel_val[rows[s], taps] += mixed.reshape(Co, Ci, K).transpose(0, 2, 1)
         bias_val = np.concatenate([b.value for b in biases])
     else:
         kernel_val, bias_val = values
@@ -436,7 +474,7 @@ def compose_causal_kernel(units, lags, values=None):
         g_reduce = [np.empty_like(r.value) for r in reduces]
         for s, cols, kern, taps in plan:
             Cb, _, K = kern.value.shape
-            gs = g[rows[s]][:, :, taps].reshape(Co, Ci * K)
+            gs = g[rows[s], taps].transpose(0, 2, 1).reshape(Co, Ci * K)
             g_reduce[s][:, cols] = gs @ kern.value.reshape(Cb, Ci * K).T
             kern.accumulate_grad((reduces[s].value[:, cols].T @ gs).reshape(Cb, Ci, K))
         for r, gr in zip(reduces, g_reduce):

@@ -193,8 +193,9 @@ class _ComposedCache:
     allocated here and refreshed in place, so the cache keeps no array a
     forward allocates. Refreshing the kernel in place changes the value of
     a kernel Variable returned earlier; that is safe because nothing reads
-    it after its forward (``conv_time_causal`` copies its taps, and the
-    composed kernel's backward reads only the parameters).
+    it after its forward (``conv_time_causal`` copies the kernel only when
+    recording, for its backward, and the composed kernel's backward reads
+    only the parameters).
     """
 
     def __init__(self, units):
@@ -202,7 +203,7 @@ class _ComposedCache:
         self.ids = [None] * len(self.copies)
         c_out = units[0].reduce_w.value.shape[0]
         c_in = units[0].kernels[0][1].value.shape[1]
-        self.kernel = np.empty((len(units) * c_out, c_in, len(units[0].lags)))
+        self.kernel = np.empty((len(units) * c_out, len(units[0].lags), c_in))
         self.bias = np.empty(len(units) * c_out)
 
     def lookup(self, units):

@@ -37,11 +37,12 @@ def _mix_channels_grad_w(g, x):
 
 
 def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
-    """Causal convolution along the trailing time axis of x [B, C_in, N, W]."""
+    """Causal convolution along the trailing time axis of x [B, C_in, N, W],
+    kernel [C_out, L, C_in] (tap-major)."""
     x, kernel = as_variable(x), as_variable(kernel)
     lags = list(lags)
     B, Ci, N, W = x.value.shape
-    Co, _, L = kernel.value.shape
+    Co, L, _ = kernel.value.shape
     if bias is not None:
         bias = as_variable(bias)
     if max(lags) >= W:
@@ -52,20 +53,20 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
         tap = cols[:, l * Ci : (l + 1) * Ci]
         tap[..., : W - keep] = 0.0
         tap[..., W - keep :] = x.value[..., :keep]
-    w2 = kernel.value.transpose(0, 2, 1).reshape(Co, L * Ci)
+    w2 = kernel.value.reshape(Co, L * Ci)
     out_val = _mix_channels(w2, cols)
     if bias is not None:
         out_val += bias.value[None, :, None, None]
 
     def backward_fn(g):
         gw2 = _mix_channels_grad_w(g, cols)
-        kernel.accumulate_grad(gw2.reshape(Co, L, Ci).transpose(0, 2, 1))
+        kernel.accumulate_grad(gw2.reshape(Co, L, Ci))
         if bias is not None:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         gx = np.zeros_like(x.value)
         for l, keep in enumerate(keeps):
             if keep:
-                gx[..., :keep] += _mix_channels(kernel.value[:, :, l].T, g)[..., W - keep :]
+                gx[..., :keep] += _mix_channels(kernel.value[:, l].T, g)[..., W - keep :]
         x.accumulate_grad(gx)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)

@@ -82,7 +82,7 @@ def test_criterion_1_gradient_correctness():
         # causal convolution at explicit lags, with bias
         lags = sorted(rng.choice(6, size=int(rng.integers(1, 4)), replace=False).tolist())
         xl = Variable(rng.normal(size=(2, 8, 1, 2)))
-        kl = Variable(rng.normal(size=(3, 2, len(lags))))
+        kl = Variable(rng.normal(size=(3, len(lags), 2)))  # [Co, L, Ci]
         bl = Variable(rng.normal(size=3))
         worst = max(
             worst,
@@ -99,7 +99,7 @@ def test_criterion_1_gradient_correctness():
             )
             for _ in range(2)
         ]
-        probe = rng.normal(size=(4, 2, len(union)))
+        probe = rng.normal(size=(4, len(union), 2))  # the composed kernel's [Co, L, Ci]
 
         def compose_loss():
             kc, bc = ad.compose_causal_kernel(units, union)

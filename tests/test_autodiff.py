@@ -1,8 +1,10 @@
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mswavenet import autodiff as ad
@@ -143,7 +145,7 @@ class TestDilatedCausalConv:
         """Forward and every gradient equal the [B, C, N, W] implementation,
         also for taps whose lag reaches past the window and without lag 0."""
         x_val = rng.normal(size=(3, 6, 2, 4))
-        k_val = rng.normal(size=(5, 3, len(lags)))
+        k_val = rng.normal(size=(5, len(lags), 3))  # [Co, L, Ci]
         b_val = rng.normal(size=5)
         w_val = rng.normal(size=(5, 6, 2, 4))
         to_bm = batch_major.from_time_major
@@ -175,6 +177,58 @@ class TestDilatedCausalConv:
             results.append([out.value, x.grad, k.grad])
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
+
+
+    @pytest.mark.parametrize("lag", [1.5, 1.0, True])
+    def test_rejects_a_lag_that_is_not_an_int(self, lag):
+        x, k = Variable(np.ones((1, 4, 1, 1))), Variable(np.ones((1, 2, 1)))
+        with pytest.raises(ValueError, match=re.escape(f"lag {lag!r} is not an int")):
+            ad.conv_time_causal(x, k, [0, lag])
+
+    def test_numpy_int_lags(self, rng):
+        x, k = rng.normal(size=(2, 5, 1, 3)), rng.normal(size=(3, 2, 2))
+        got = ad.conv_time_causal(x, k, [np.int64(0), np.int64(2)]).value
+        np.testing.assert_array_equal(got, ad.conv_time_causal(x, k, [0, 2]).value)
+
+
+@st.composite
+def _causal_conv_cases(draw):
+    """(Ci, Co, W, B, N), lags, _BLOCK_COLS and a data seed on tiny shapes;
+    lags may repeat, miss 0 and reach past the window."""
+    ci, co, w, b, n = (draw(st.integers(1, hi)) for hi in (3, 3, 6, 2, 3))
+    lags = draw(st.lists(st.integers(0, w + 2), min_size=1, max_size=5))
+    return (ci, co, w, b, n), lags, draw(st.integers(1, w * b * n)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestCausalConvProperties:
+    """conv_time_causal against the [B, C, N, W] reference for random lag
+    sets and block sizes, so that single-step blocks, a partial last block
+    and taps that read before t = 0 all occur."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_causal_conv_cases())
+    @example(((2, 2, 5, 2, 3), [3, 1, 3, 7], 4, 0))  # one step per block
+    @example(((2, 1, 5, 1, 2), [3, 0, 1, 9], 5, 1))  # two-step blocks, a partial last
+    def test_matches_batch_major_reference(self, case):
+        (ci, co, w, b, n), lags, block_cols, seed = case
+        rng = np.random.default_rng(seed)
+        x_val = rng.normal(size=(ci, w, b, n))
+        k_val = rng.normal(size=(co, len(lags), ci))
+        b_val = rng.normal(size=co)
+        up = rng.normal(size=(co, w, b, n))
+        to_bm = batch_major.from_time_major
+        results = []
+        with mock.patch.object(ad, "_BLOCK_COLS", block_cols), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # lags past the window
+            for conv, x_in, g in ((ad.conv_time_causal, x_val, up),
+                                  (batch_major.conv_time_causal, to_bm(x_val), to_bm(up))):
+                x, k, bias = Variable(x_in), Variable(k_val), Variable(b_val)
+                out = conv(x, k, lags, bias)
+                ad.backward(ad.total(ad.multiply(out, Variable(g, requires_grad=False))))
+                results.append([out.value, x.grad, k.grad, bias.grad])
+        results[0][:2] = [to_bm(a) for a in results[0][:2]]
+        for got, want in zip(*results):
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestConv1x1:

@@ -438,6 +438,17 @@ class TestTimeMajorEquivalence:
             else:
                 assert np.abs(grads[name] - g).max() <= 1e-12, name
 
+    @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
+    def test_batch_rows_equal_batch_1_forwards(self, variant, rng):
+        """B=64 and B=1 split the causal convolutions into different blocks
+        of steps; each row's forecast must not depend on the split."""
+        net = _perturbed(variant, rng)
+        x = rng.normal(size=(64, 4, 5, 48))
+        with ad.no_grad():
+            batched = net.forward(x).value
+            rows = np.concatenate([net.forward(x[i : i + 1]).value for i in range(len(x))])
+        assert np.abs(batched - rows).max() <= 1e-12
+
     def test_temporal_stack_is_batch_major(self, rng):
         net = Network(small_config(residual_channels=5), seed=0)
         x = rng.normal(size=(2, 4, 3, 16))
@@ -558,6 +569,33 @@ class TestComposedCache:
         del net
         gc.collect()
         assert alive() is None
+
+    def test_recorded_backward_outlives_a_refresh(self, rng):
+        """A forward recorded on a hit, then a forecast whose miss refreshes
+        the stored kernel in place: the first loss's backward still reads
+        the kernel of its own forward."""
+        net = _perturbed(MULTI_SCALE, rng)
+        x = rng.normal(size=(2, 4, 5, 48))
+        target = rng.normal(size=(2, 3))
+        cache = net.blocks[0].gate_cache
+        kern = net.blocks[0].tcn_a.kernels[0][1]
+
+        def input_grad(between):
+            xv = Variable(x)
+            loss = ad.mse_loss(net.forward(xv), target)
+            between()
+            ad.backward(loss)
+            return xv.grad
+
+        def refresh():
+            stored = cache.kernel.copy()
+            kern.value = kern.value + 0.01
+            _forecast(net, x, record=False)
+            assert not np.array_equal(cache.kernel, stored)
+
+        _forecast(net, x, record=False)  # store the kernels, so the next forward hits
+        want = input_grad(lambda: None)
+        np.testing.assert_array_equal(input_grad(refresh), want)
 
     def test_cache_arrays_keep_their_identity_across_a_miss(self, rng):
         net = _perturbed(MULTI_SCALE, rng)
