@@ -26,6 +26,12 @@ the same values. ``no_grad`` nests and restores the previous state on
 exit, also on an exception. Leaf Variables keep the ``requires_grad`` they
 are built with, and ``backward`` rejects a loss without it.
 
+A backward reads its operands' arrays as the op found them: each op binds
+the ``.value`` arrays it needs when it runs, so assigning a new array to an
+operand's ``.value`` (as Adam and ``load_state_dict`` do) between a forward
+and its ``backward`` changes no gradient. The arrays are not copied, so an
+in-place edit would show; only ``conv_time_causal`` copies its kernel.
+
 Layout of the 4-D ops: ``conv_time_causal``, ``conv_time_dilated_causal``,
 ``conv_1x1``, ``gated_tanh_sigmoid`` and ``concat_channels`` take and give
 activations as [C, W, B, N] (channel, time, batch, node). The channel axis
@@ -219,11 +225,12 @@ def sub(a, b) -> Variable:
 def multiply(a, b) -> Variable:
     a, b = as_variable(a), as_variable(b)
     _, red_a, red_b = _broadcast_check(a, b)
-    out_val = a.value * b.value
+    av, bv = a.value, b.value
+    out_val = av * bv
 
     def backward_fn(g):
-        ga = g * b.value
-        gb = g * a.value
+        ga = g * bv
+        gb = g * av
         a.accumulate_grad(red_a(ga) if red_a else ga)
         b.accumulate_grad(red_b(gb) if red_b else gb)
 
@@ -267,10 +274,11 @@ def relu(x) -> Variable:
 def total(x) -> Variable:
     """Sum of all elements, as a scalar Variable."""
     x = as_variable(x)
+    shape = x.value.shape
     out_val = np.asarray(x.value.sum())
 
     def backward_fn(g):
-        x.accumulate_grad(np.full_like(x.value, float(g)))
+        x.accumulate_grad(np.full(shape, float(g)))
 
     return Variable(out_val, (x,), backward_fn)
 
@@ -283,11 +291,12 @@ def matmul(a, b) -> Variable:
         raise ShapeMismatchError(
             f"inner dimensions disagree: {a.value.shape} x {b.value.shape}"
         )
-    out_val = a.value @ b.value
+    av, bv = a.value, b.value
+    out_val = av @ bv
 
     def backward_fn(g):
-        a.accumulate_grad(g @ b.value.T)
-        b.accumulate_grad(a.value.T @ g)
+        a.accumulate_grad(g @ bv.T)
+        b.accumulate_grad(av.T @ g)
 
     return Variable(out_val, (a, b), backward_fn)
 
@@ -393,7 +402,7 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
         kernel.accumulate_grad(gk)
         if bias is not None:
             bias.accumulate_grad(g2.sum(axis=1))
-        gx = np.empty(x.value.shape)  # C order, so its reshape is a view
+        gx = np.empty((Ci, W, B, N))  # C order, so its reshape is a view
         _tap_sum(gx.reshape(Ci, -1), [(s, w_kept[:, i].T) for s, i in shifts], g2)
         x.accumulate_grad(gx)
 
@@ -444,14 +453,15 @@ def compose_causal_kernel(units, lags, values=None):
     reduces = [as_variable(w) for w, _, _ in units]
     biases = [as_variable(b) for _, b, _ in units]
     Co = reduces[0].value.shape[0]
-    plan = []  # (unit index, reduce columns, branch kernel, lag indices)
+    reduce_vals = [r.value for r in reduces]
+    plan = []  # (unit index, reduce columns, branch kernel, its value, lag indices)
     for s, (_, _, branches) in enumerate(units):
         start = 0
         for kern, d in branches:
             kern = as_variable(kern)
             Cb, Ci, K = kern.value.shape
             taps = [index[lag] for lag in dilated_lags(K, d)]
-            plan.append((s, slice(start, start + Cb), kern, taps))
+            plan.append((s, slice(start, start + Cb), kern, kern.value, taps))
             start += Cb
         if reduces[s].value.shape != (Co, start) or biases[s].value.shape != (Co,):
             raise ShapeMismatchError(
@@ -462,21 +472,21 @@ def compose_causal_kernel(units, lags, values=None):
 
     if values is None:
         kernel_val = np.zeros((len(reduces) * Co, len(index), Ci))
-        for s, cols, kern, taps in plan:
-            Cb, _, K = kern.value.shape
-            mixed = reduces[s].value[:, cols] @ kern.value.reshape(Cb, Ci * K)
+        for s, cols, _, kv, taps in plan:
+            Cb, _, K = kv.shape
+            mixed = reduce_vals[s][:, cols] @ kv.reshape(Cb, Ci * K)
             kernel_val[rows[s], taps] += mixed.reshape(Co, Ci, K).transpose(0, 2, 1)
         bias_val = np.concatenate([b.value for b in biases])
     else:
         kernel_val, bias_val = values
 
     def kernel_backward(g):
-        g_reduce = [np.empty_like(r.value) for r in reduces]
-        for s, cols, kern, taps in plan:
-            Cb, _, K = kern.value.shape
+        g_reduce = [np.empty_like(r) for r in reduce_vals]
+        for s, cols, kern, kv, taps in plan:
+            Cb, _, K = kv.shape
             gs = g[rows[s], taps].transpose(0, 2, 1).reshape(Co, Ci * K)
-            g_reduce[s][:, cols] = gs @ kern.value.reshape(Cb, Ci * K).T
-            kern.accumulate_grad((reduces[s].value[:, cols].T @ gs).reshape(Cb, Ci, K))
+            g_reduce[s][:, cols] = gs @ kv.reshape(Cb, Ci * K).T
+            kern.accumulate_grad((reduce_vals[s][:, cols].T @ gs).reshape(Cb, Ci, K))
         for r, gr in zip(reduces, g_reduce):
             r.accumulate_grad(gr)
 
@@ -484,7 +494,7 @@ def compose_causal_kernel(units, lags, values=None):
         for b, rs in zip(biases, rows):
             b.accumulate_grad(g[rs])
 
-    parents = tuple(reduces) + tuple(kern for _, _, kern, _ in plan)
+    parents = tuple(reduces) + tuple(kern for _, _, kern, _, _ in plan)
     kernel = Variable(kernel_val, parents, kernel_backward)
     bias = Variable(bias_val, tuple(biases), bias_backward)
     return kernel, bias
@@ -530,18 +540,19 @@ def conv_1x1(x, weight, bias) -> Variable:
         raise ShapeMismatchError(
             f"channel mismatch: x {x.value.shape}, weight {weight.value.shape}, bias {bias.value.shape}"
         )
-    Co = weight.value.shape[0]
-    x2 = x.value.reshape(x.value.shape[0], -1)
-    out2 = weight.value @ x2
+    w, shape = weight.value, x.value.shape
+    Co = w.shape[0]
+    x2 = x.value.reshape(shape[0], -1)
+    out2 = w @ x2
     out2 += bias.value[:, None]
 
     def backward_fn(g):
         g2 = g.reshape(Co, -1)
         weight.accumulate_grad(g2 @ x2.T)
         bias.accumulate_grad(g2.sum(axis=1))
-        x.accumulate_grad((weight.value.T @ g2).reshape(x.value.shape))
+        x.accumulate_grad((w.T @ g2).reshape(shape))
 
-    return Variable(out2.reshape((Co,) + x.value.shape[1:]), (x, weight, bias), backward_fn)
+    return Variable(out2.reshape((Co,) + shape[1:]), (x, weight, bias), backward_fn)
 
 
 def concat_channels(xs) -> Variable:
@@ -622,11 +633,12 @@ def dense(x, weight, bias) -> Variable:
         raise ShapeMismatchError(
             f"dense shape mismatch: x {x.value.shape}, weight {weight.value.shape}"
         )
-    out_val = x.value @ weight.value.T + bias.value
+    xv, w = x.value, weight.value
+    out_val = xv @ w.T + bias.value
 
     def backward_fn(g):
-        x.accumulate_grad(g @ weight.value)
-        weight.accumulate_grad(g.T @ x.value)
+        x.accumulate_grad(g @ w)
+        weight.accumulate_grad(g.T @ xv)
         bias.accumulate_grad(g.sum(axis=0))
 
     return Variable(out_val, (x, weight, bias), backward_fn)

@@ -5,6 +5,12 @@ CSV schema (one file per station): header exactly
 timestamps at hourly cadence. Gaps up to ``max_gap_hours`` are filled by
 linear interpolation; larger gaps, timestamps off the hourly grid and
 non-finite readings are a hard error.
+
+A file is read in C first: numpy's reader splits it and converts the
+readings, and the checks, sort and gap fill work on whole columns. Any file
+that path does not vouch for is read again row by row with ``csv``, which
+accepts it or names the line at fault, so accepted files and error messages
+are those of the row loop alone.
 """
 
 from __future__ import annotations
@@ -12,10 +18,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -80,19 +89,143 @@ class DatasetTensor:
         return self.inputs.shape[0]
 
 
+def _to_utc(ts: datetime) -> datetime:
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc)
+
+
 def _parse_timestamp(path, text: str, line_no: int) -> datetime:
     try:
-        ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        if ts.tzinfo is None:
-            ts = ts.replace(tzinfo=timezone.utc)
-        return ts.astimezone(timezone.utc)
+        return _to_utc(datetime.fromisoformat(text.replace("Z", "+00:00")))
     except (ValueError, OverflowError) as exc:  # overflow: UTC falls outside years 1-9999
         raise CsvParseError(f"{path}: line {line_no}: bad timestamp {text!r}: {exc}") from None
 
 
 def load_station_csv(path, max_gap_hours: int = 3) -> StationSeries:
-    """Parse one station file, sort chronologically, fill short gaps."""
-    reader = csv.reader(io.StringIO(read_utf8(path, CsvParseError), newline=""))
+    """Parse one station file, sort chronologically, fill short gaps.
+
+    The file is read in C (``_read_columns``); one that path does not vouch
+    for is read row by row (``_read_rows``), which accepts it or names the
+    line at fault. Both give the same series for every file they accept.
+    """
+    text = read_utf8(path, CsvParseError)
+    columns = _read_columns(text, max_gap_hours)
+    if columns is None:
+        columns = _read_rows(path, text, max_gap_hours)
+    return StationSeries(_station_name_from_path(path), *columns)
+
+
+# one body row: the timestamp as the str csv reads, then the readings
+_ROW = np.dtype([("timestamp", object), ("readings", np.float64, (len(FEATURE_ORDER),))])
+# str.splitlines also ends a line at these; csv does not, and csv rejects NUL
+_NOT_CSV_LINE_ENDS = "\0\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _read_columns(text: str, max_gap_hours: int):
+    """(timestamps, features) of a station file, with no Python code run per
+    row, or None where ``_read_rows`` must decide.
+
+    numpy's C reader splits the body with csv's quoting and converts the
+    readings; it accepts a subset of the spellings Python's ``float`` does
+    (not ``1_000`` or non-ASCII digits), and every reading it accepts has
+    the value ``float`` gives. None stands for anything this path does not
+    vouch for: a character that ends a line for ``str.splitlines`` but not
+    for csv, a NUL, a header that is not one line, a field csv would find
+    too long, a row numpy refuses, and every problem ``_read_rows`` names by
+    line (bad timestamps or readings, duplicates, off-grid stamps, long
+    gaps, no data rows).
+    """
+    if any(c in text for c in _NOT_CSV_LINE_ENDS):
+        return None
+    lines = text.splitlines(keepends=True)  # the lines csv reads
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+    except csv.Error:
+        return None
+    if header is None or reader.line_num != 1 or [h.strip() for h in header] != EXPECTED_HEADER:
+        return None
+    blank = lines.count("\n") + lines.count("\r\n") + lines.count("\r")
+    if blank == len(lines) - 1:
+        return None  # no data rows
+    try:
+        table = np.loadtxt(lines[1:], dtype=_ROW, delimiter=",", comments=None, quotechar='"', ndmin=1)
+    except ValueError:
+        return None
+    if len(text) > csv.field_size_limit() and not _fields_fit(text, lines, len(table) + blank):
+        return None
+    features = np.ascontiguousarray(table["readings"])
+    if not np.isfinite(features).all():
+        return None
+    direction = features[:, FEATURE_ORDER.index("wind_direction")]
+    if not ((0.0 <= direction) & (direction < 360.0)).all():
+        return None
+    try:
+        stamps = list(map(datetime.fromisoformat, map(
+            str.replace, table["timestamp"].tolist(), repeat("Z"), repeat("+00:00")
+        )))
+        zoned = map(attrgetter("tzinfo"), stamps)
+        for i in _where(map(operator.is_not, zoned, repeat(timezone.utc)), len(stamps)):
+            stamps[i] = _to_utc(stamps[i])
+    except (ValueError, OverflowError):
+        return None
+    steps = list(map(operator.sub, stamps[1:], stamps))
+    if steps.count(HOUR) == len(steps):
+        return stamps, features
+    if min(steps) <= timedelta(0):  # unsorted, or a duplicate
+        order = sorted(range(len(stamps)), key=stamps.__getitem__)
+        stamps = list(map(stamps.__getitem__, order))
+        features = features[order]
+        steps = list(map(operator.sub, stamps[1:], stamps))
+    return _fill_gaps(stamps, features, steps, max_gap_hours)
+
+
+def _where(flags, count: int) -> list:
+    """Indices of the true items of an iterable of count bools."""
+    return np.flatnonzero(np.fromiter(flags, bool, count)).tolist()
+
+
+def _fields_fit(text: str, lines: list, rows: int) -> bool:
+    """Whether no csv field of a file split into ``lines`` can exceed
+    ``csv.field_size_limit()``, which csv rejects, given that numpy read its
+    body as ``rows`` rows and blank lines.
+
+    A field within one line is no longer than the line. A quoted field that
+    spans lines leaves fewer rows than lines, unless it runs to the end of
+    the file over blank lines only; then it is no longer than the last line
+    plus the line ends after it.
+    """
+    if rows != len(lines) - 1:  # the header is a line too
+        return False
+    trailing = len(text) - len(text.rstrip("\r\n"))
+    return max(map(len, lines)) + trailing <= csv.field_size_limit()
+
+
+def _fill_gaps(stamps: list, features: np.ndarray, steps: list, max_gap_hours: int):
+    """(timestamps, features) of sorted rows with each gap of up to
+    max_gap_hours hours filled as ``_read_rows`` fills it, or None if a step
+    is not a positive whole number of hours or a gap is too long."""
+    times, blocks, start = [], [], 0
+    for i in _where(map(HOUR.__ne__, steps), len(steps)):
+        hours, rest = divmod(steps[i], HOUR)
+        if rest or not hours or hours - 1 > max_gap_hours:
+            return None
+        prev, nxt = features[i], features[i + 1]
+        times += stamps[start : i + 1]
+        times += [stamps[i] + step * HOUR for step in range(1, hours)]
+        fracs = np.arange(1, hours) / hours
+        blocks += [features[start : i + 1], prev + fracs[:, None] * (nxt - prev)]
+        start = i + 1
+    times += stamps[start:]
+    blocks.append(features[start:])
+    return times, np.concatenate(blocks)
+
+
+def _read_rows(path, text: str, max_gap_hours: int):
+    """(timestamps, features) of a station file read one row at a time, or
+    an error naming the file and the line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows = []
     try:
         header = next(reader, None)
@@ -150,9 +283,7 @@ def load_station_csv(path, max_gap_hours: int = 3) -> StationSeries:
                 features.append(list(prev_vals + frac * (next_vals - prev_vals)))
         timestamps.append(ts)
         features.append(vals)
-    return StationSeries(
-        _station_name_from_path(path), timestamps, np.asarray(features, dtype=np.float64)
-    )
+    return timestamps, np.asarray(features, dtype=np.float64)
 
 
 def _station_name_from_path(path) -> str:
@@ -163,7 +294,8 @@ def assemble(series: list, node_order: list) -> tuple:
     """Align stations on their common time range into a [L, D, N] tensor.
 
     Returns (raw, timestamps). Feature order is FEATURE_ORDER, node order
-    is the given node_order.
+    is the given node_order. Every series is hourly and gap-free, so the
+    timestamps are a slice of the latest-starting station's.
     """
     by_name = {s.station_name: s for s in series}
     missing = [n for n in node_order if n not in by_name]
@@ -183,8 +315,7 @@ def assemble(series: list, node_order: list) -> tuple:
             names = f"{s.station_name!r} and {latest.station_name!r}"
             raise AlignmentError(f"stations {names} sit on hourly grids {rest} apart")
         raw[:, :, j] = s.features[offset : offset + length]
-    timestamps = [start + i * HOUR for i in range(length)]
-    return raw, timestamps
+    return raw, latest.timestamps[:length]
 
 
 def split_by_years(timestamps, train_years, val_years, test_years):
@@ -199,11 +330,10 @@ def split_by_years(timestamps, train_years, val_years, test_years):
     flat = [y for g in groups for y in g]
     if len(set(flat)) != len(flat):
         raise SplitError("train/val/test years must be disjoint")
-    present = {ts.year for ts in timestamps}
-    missing = sorted(set(flat) - present)
+    years = np.fromiter(map(attrgetter("year"), timestamps), int, len(timestamps))
+    missing = sorted(set(flat) - set(np.unique(years).tolist()))
     if missing:
         raise SplitError(f"requested years not in data: {missing}")
-    years = np.array([ts.year for ts in timestamps])
     out = []
     for label, g in zip(("train", "validation", "test"), groups):
         if not g:

@@ -77,14 +77,15 @@ def gcn_forward(x: Variable, adj: AdjacencyMatrix, theta: Variable, bias: Variab
 def _node_mix(x: Variable, adj: Variable) -> Variable:
     # adj [N,N] acts on the trailing node axis: one GEMM over the
     # (C*W*B, N) view of x
-    n = adj.value.shape[0]
+    a, shape = adj.value, x.value.shape
+    n = a.shape[0]
     x2 = x.value.reshape(-1, n)
-    out_val = (x2 @ adj.value.T).reshape(x.value.shape)
+    out_val = (x2 @ a.T).reshape(shape)
 
     def backward_fn(g):
         g2 = g.reshape(-1, n)
         adj.accumulate_grad(g2.T @ x2)
-        x.accumulate_grad((g2 @ adj.value).reshape(x.value.shape))
+        x.accumulate_grad((g2 @ a).reshape(shape))
 
     return Variable(out_val, (x, adj), backward_fn)
 

@@ -195,7 +195,7 @@ class _ComposedCache:
     a kernel Variable returned earlier; that is safe because nothing reads
     it after its forward (``conv_time_causal`` copies the kernel only when
     recording, for its backward, and the composed kernel's backward reads
-    only the parameters).
+    only the parameter arrays of its forward).
     """
 
     def __init__(self, units):

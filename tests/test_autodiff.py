@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mswavenet import autodiff as ad
+from mswavenet import graph
 from mswavenet.autodiff import ShapeMismatchError, Variable
 
 import batch_major
@@ -311,6 +312,43 @@ class TestUpstreamGradientUnchanged:
         out._backward(g)
         np.testing.assert_array_equal(g, before)
         assert x.grad is not g and not np.shares_memory(x.grad, g)
+
+
+def _compose_one_unit(w, b, k1, k2):
+    kernel, bias = ad.compose_causal_kernel([(w, b, [(k1, 1), (k2, 2)])], [0, 1, 2, 4])
+    x = np.linspace(-1.0, 1.0, 10).reshape(2, 5, 1, 1)
+    return ad.conv_time_causal(x, kernel, [0, 1, 2, 4], bias)
+
+
+_OPERAND_OPS = {
+    "multiply": (ad.multiply, [(3, 4), (3, 4)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "dense": (ad.dense, [(3, 4), (2, 4), (2,)]),
+    "conv_1x1": (ad.conv_1x1, [(3, 2, 2, 2), (4, 3), (4,)]),
+    "node_mix": (graph._node_mix, [(2, 2, 2, 3), (3, 3)]),
+    "compose_causal_kernel": (_compose_one_unit, [(2, 4), (2,), (2, 2, 2), (2, 2, 3)]),
+}
+
+
+class TestBackwardReadsOperandsAsRecorded:
+    """Assigning a new array to an operand's .value between a forward and
+    its backward changes no gradient: each op binds the arrays it read."""
+
+    @pytest.mark.parametrize("op", list(_OPERAND_OPS))
+    def test_assigning_values_before_backward_changes_no_gradient(self, op, rng):
+        fn, shapes = _OPERAND_OPS[op]
+        values = [rng.normal(size=shape) for shape in shapes]
+
+        def gradients(edit):
+            operands = [Variable(v) for v in values]
+            out = fn(*operands)
+            loss = ad.mse_loss(out, np.linspace(-1.0, 1.0, out.value.size).reshape(out.shape))
+            for v in operands if edit else ():
+                v.value = v.value + 1.0
+            ad.backward(loss)
+            return [v.grad.tobytes() for v in operands]
+
+        assert gradients(edit=True) == gradients(edit=False)
 
 
 class TestSoftmaxRows:

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mswavenet import data
+from mswavenet.config import read_utf8
 from mswavenet.data import (
     CsvParseError,
     IngestionError,
@@ -76,6 +77,81 @@ _csv_files = st.one_of(
     st.lists(_rows, max_size=5).map(lambda rows: (HEADER + "\n".join(rows)).encode()),
     _hourly.map(lambda rows: (HEADER + "\n".join(rows)).encode()),
 )
+
+# Station files as other writers spell them: line ends, blank lines, quoted
+# and padded fields, stamps in UTC, naive or at an offset, unsorted rows and
+# gaps of up to max_gap_hours (3 by default). Most files also draw from one
+# kind of defect: longer gaps, duplicate or off-grid stamps, bad
+# readings, readings spelled as only Python's float reads them, rows of 4 or 6
+# fields, lines that are not blank but hold no field, and two rows joined by
+# a character that ends a line for str.splitlines but not for csv.
+_HOURS = [timedelta(hours=h) for h in (1, 1, 1, 1, 2, 3, 4)]
+_stamp_styles = st.sampled_from([
+    lambda t: t.strftime("%Y-%m-%dT%H:%M:%SZ"),
+    lambda t: t.replace(tzinfo=None).isoformat(),  # naive: read as UTC
+    lambda t: t.astimezone(timezone(timedelta(hours=-5, minutes=-30))).isoformat(),
+    lambda t: t.isoformat(sep=" "),
+])
+_SPELLINGS = [repr, str, lambda v: f" {v!r}\t", lambda v: f"{v:.8f}", lambda v: f'"{v}"',
+              lambda v: f'" {v} "']
+_DEFECTS = {
+    "steps": [timedelta(hours=5), timedelta(0), timedelta(minutes=30)],
+    "readings": [lambda v: f'"{v}"x', lambda v: "nan", lambda v: "-inf", lambda v: "360"],
+    "python": [lambda v: f"{v * 10:_.1f}", lambda v: f"{v}\u0660"],  # 1_234.5 and an Arabic 0
+    "fields": [[":"], [], ["1.0"], ["", ""]],  # the tail of a row; ":" drops a field
+    "blank": [" ", '""', ","],
+    "breaks": list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"),  # line ends to str, not to csv
+}
+
+
+@st.composite
+def _dialect_files(draw):
+    kinds = {draw(st.sampled_from(sorted(_DEFECTS) + [None]))}
+
+    def pick(good, *defects):
+        return draw(st.sampled_from(good + [d for k in defects if k in kinds for d in _DEFECTS[k]]))
+
+    t = draw(st.datetimes(datetime(1990, 1, 1), datetime(2030, 1, 1), timezones=st.just(UTC)))
+    stamp = draw(_stamp_styles)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        values = draw(st.tuples(*[st.floats(-1e3, 1e3)] * 3, st.floats(0, 360, exclude_max=True)))
+        fields = [stamp(t)] + [pick(_SPELLINGS * 4, "readings", "python")(v) for v in values]
+        if draw(st.booleans()):
+            fields[0] = f'"{fields[0]}"'
+        tail = pick([[]] * 4, "fields")
+        rows.append(",".join(fields[:-1] if tail == [":"] else fields + tail))
+        t += pick(_HOURS, "steps")
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    if "breaks" in kinds and len(rows) > 1:
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i : i + 2] = [pick([], "breaks").join(rows[i : i + 2])]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), pick([""], "blank"))
+    header = draw(st.sampled_from([HEADER.strip(), '"timestamp",temperature,pressure, wind_speed ,'
+                                   "wind_direction"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (end.join([header] + rows) + draw(st.sampled_from(["", end, end * 2]))).encode()
+
+
+def _outcome(read, path):
+    """What a reader gives for a file: its timestamps (tzinfo included) and
+    its features' bytes, or its error's class and message."""
+    try:
+        timestamps, features = read(path)
+    except PipelineError as exc:
+        return type(exc), str(exc)
+    return repr(timestamps), features.dtype, features.shape, features.tobytes()
+
+
+def _loaded(path):
+    s = load_station_csv(path)
+    return s.timestamps, s.features
+
+
+def _row_loop(path):
+    return data._read_rows(path, read_utf8(path, CsvParseError), 3)
 
 
 class TestLoadStationCsv:
@@ -179,6 +255,54 @@ class TestLoadStationCsv:
             load_station_csv(p)
         except PipelineError as exc:
             assert str(p) in str(exc)
+
+    @settings(
+        max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(blob=_csv_files | _dialect_files())
+    def test_reads_as_the_row_loop(self, tmp_path, blob):
+        # the same series bit for bit, or the same error and message
+        p = tmp_path / "A.csv"
+        p.write_bytes(blob)
+        assert _outcome(_loaded, p) == _outcome(_row_loop, p)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_common_spellings_read_in_c(self, tmp_path, end):
+        # quoted stamps, padded readings, naive and offset stamps, a blank
+        # line, unsorted rows and a 3-hour gap: all read in C
+        rows = [
+            '"2005-01-01T05:00:00Z", 10.5 ,1000,"4.25",180',
+            "2005-01-01T00:00:00,10,1000.5,4,0",
+            "",
+            "2005-01-01T03:00:00+02:00,11,1001,5,359.5",
+            "2005-01-01T06:00:00Z,12,1002,6,90",
+        ]
+        p = tmp_path / "A.csv"
+        p.write_bytes(end.join([HEADER.strip()] + rows + [""]).encode())
+        text = read_utf8(p, CsvParseError)
+        assert data._read_columns(text, 3) is not None
+        s = load_station_csv(p)
+        assert s.timestamps[0] == START and len(s) == 7
+        assert _outcome(_loaded, p) == _outcome(_row_loop, p)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "2005-01-01T02:00:00Z,1," + " " * 140_000 + "1000,5,180",
+            '2005-01-01T02:00:00Z,1,"1000' + "\n" * 140_000 + '",5,180',
+            '2005-01-01T02:00:00Z,1,1000,5,"180' + "\n" * 140_000,
+        ],
+        ids=["padded", "quoted-lines", "open-quote"],
+    )
+    def test_fields_over_csv_limit_rejected_as_by_the_row_loop(self, tmp_path, row):
+        # numpy reads these; csv refuses a field over 131072 characters
+        p = tmp_path / "A.csv"
+        write_csv(p, hourly_rows(START, 2))
+        with open(p, "a", encoding="utf-8") as fh:
+            fh.write(row)
+        with pytest.raises(CsvParseError, match=r"A\.csv: line \d+: field larger"):
+            load_station_csv(p)
+        assert _outcome(_loaded, p) == _outcome(_row_loop, p)
 
 
 def make_series(name, start, n, seed=0):

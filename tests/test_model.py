@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mswavenet import autodiff as ad
 from mswavenet import graph
@@ -517,6 +519,35 @@ _CHANGES = {
 }
 
 
+class TestBackwardReadsOperandsAsRecorded:
+    @pytest.mark.parametrize(
+        "name",
+        ["head.conv1.weight", "head.dense.weight", "block0.gcn.theta", "block0.skip.weight",
+         "block0.tcn_a.branch0.kernel", "adjacency.e1"],
+    )
+    def test_assigning_a_parameter_before_backward_changes_no_gradient(self, name, rng):
+        x = rng.normal(size=(2, 4, 3, 16))
+        target = rng.normal(size=(2, 2))
+
+        def gradients(edit):
+            net = Network(small_config(), seed=0)
+            loss = ad.mse_loss(net.forward(x), target)
+            if edit:
+                p = dict(net.parameters())[name]
+                p.value = p.value + 0.5
+            ad.backward(loss)
+            return {n: p.grad if p.grad is None else p.grad.tobytes() for n, p in net.parameters()}
+
+        assert gradients(edit=True) == gradients(edit=False)
+
+
+_CHANGE_KINDS = ["adam", "load_state_dict", "assign", "in_place", "none"]
+_TINY = dict(
+    num_blocks=2, residual_channels=2, skip_channels=3, head_channels=(3, 2), embedding_width=2,
+    window=6, horizon=1, num_nodes=2, num_features=4, target_nodes=[1],
+)
+
+
 class TestComposedCache:
     """Each block keeps the gate kernel its parameters were last composed
     into; a forward on the same bits reuses it, any change composes again."""
@@ -561,6 +592,42 @@ class TestComposedCache:
         after = _forecast(net, x, record=False)
         assert after.tobytes() == _forecast(_fresh_copy(net), x, record=False).tobytes()
         assert not np.array_equal(after, before)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        variant=st.sampled_from([MULTI_SCALE, SINGLE_SCALE]),
+        changes=st.lists(
+            st.tuples(st.sampled_from(_CHANGE_KINDS), st.integers(0, 999),
+                      st.sampled_from([0.5, -0.25, 1e-3])),
+            min_size=1, max_size=6,
+        ),
+        record=st.booleans(),
+    )
+    def test_forecasts_follow_any_sequence_of_changes(self, variant, changes, record):
+        """After each change to a gate parameter, a forecast on tiny shapes
+        equals, bit for bit, that of a fresh Network holding the same state."""
+        branches = [[(2, 1), (3, 1)]] * 2 if variant == MULTI_SCALE else [[(2, 1)], [(2, 2)]]
+        net = Network(ModelConfig(variant=variant, branch_specs=branches, **_TINY), seed=1)
+        gate = [name for name, _ in net.parameters() if ".tcn_" in name]
+        x = np.random.default_rng(0).normal(size=(2, 4, 2, 6))
+        opt = AdamOptimizer(net.parameters(), lr=0.05)
+        for kind, pick, delta in changes:
+            name = gate[pick % len(gate)]
+            p = dict(net.parameters())[name]
+            if kind == "adam":
+                net.zero_grad()
+                ad.backward(ad.mse_loss(net.forward(x), np.ones((2, 1))))
+                opt.step()
+            elif kind == "load_state_dict":
+                state = net.state_dict()
+                state[name] += delta
+                net.load_state_dict(state)
+            elif kind == "assign":
+                p.value = p.value + delta
+            elif kind == "in_place":
+                p.value.flat[pick % p.value.size] += delta
+            want = _forecast(_fresh_copy(net), x, record)
+            assert _forecast(net, x, record).tobytes() == want.tobytes(), (kind, name)
 
     def test_a_network_dies_after_its_forward(self, rng):
         net = Network(small_config(), seed=0)
