@@ -30,7 +30,7 @@ A backward reads its operands' arrays as the op found them: each op binds
 the ``.value`` arrays it needs when it runs, so assigning a new array to an
 operand's ``.value`` (as Adam and ``load_state_dict`` do) between a forward
 and its ``backward`` changes no gradient. The arrays are not copied, so an
-in-place edit would show; only ``conv_time_causal`` copies its kernel.
+in-place edit would show.
 
 Layout of the 4-D ops: ``conv_time_causal``, ``conv_time_dilated_causal``,
 ``conv_1x1``, ``gated_tanh_sigmoid`` and ``concat_channels`` take and give
@@ -332,8 +332,7 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
     reach the block, in ascending lag, are stacked into a scratch buffer
     [j*C_in, steps*B*N], zero where a tap reads before t = 0, and multiplied
     by the first j*C_in columns of the kernel's (C_out, L*C_in) view. A tap
-    with lag >= W is never multiplied. The kernel is copied only when the
-    op records, for its backward.
+    with lag >= W is never multiplied.
     """
     x, kernel = as_variable(x), as_variable(kernel)
     if x.value.ndim != 4 or kernel.value.ndim != 3:
@@ -389,9 +388,6 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
     if bias is not None:
         out2 += bias.value[:, None]
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    # a stored kernel may be refreshed in place (see model._ComposedCache)
-    # before this backward runs, so the backward reads its own copy
-    w_kept = w.copy() if _records(parents) else None
     shifts = [(lag * S, i) for i, lag in enumerate(steps) if lag < W]
 
     def backward_fn(g):
@@ -403,7 +399,7 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
         if bias is not None:
             bias.accumulate_grad(g2.sum(axis=1))
         gx = np.empty((Ci, W, B, N))  # C order, so its reshape is a view
-        _tap_sum(gx.reshape(Ci, -1), [(s, w_kept[:, i].T) for s, i in shifts], g2)
+        _tap_sum(gx.reshape(Ci, -1), [(s, w[:, i].T) for s, i in shifts], g2)
         x.accumulate_grad(gx)
 
     return Variable(out_val, parents, backward_fn)

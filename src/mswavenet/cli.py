@@ -17,7 +17,7 @@ from datetime import timedelta
 from . import autodiff as ad
 from . import pipeline, synthetic, training
 from .config import ConfigError, RunConfig, load_run_config
-from .data import MinMaxScaler, PipelineError, assemble, sliding_windows
+from .data import EXPECTED_HEADER, MinMaxScaler, PipelineError, assemble, sliding_windows
 from .graph import export_adjacency
 from .model import Network
 from .training import (
@@ -140,7 +140,7 @@ def cmd_gen_synthetic(cfg: RunConfig, args) -> int:
         path = os.path.join(out_dir, f"{s.station_name}.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["timestamp", "temperature", "pressure", "wind_speed", "wind_direction"])
+            writer.writerow(EXPECTED_HEADER)
             for ts, row in zip(s.timestamps, s.features):
                 stamp = ts.strftime("%Y-%m-%dT%H:00:00Z")
                 writer.writerow([stamp] + [f"{v:.8f}" for v in row])

@@ -98,16 +98,3 @@ def export_adjacency(adj: AdjacencyMatrix, path) -> None:
         writer.writerow(["node"] + adj.node_order)
         for name, row in zip(adj.node_order, values):
             writer.writerow([name] + [repr(float(v)) for v in row])
-
-
-def load_adjacency_csv(path) -> AdjacencyMatrix:
-    """Re-parse an exported adjacency CSV (round-trip helper)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        names = header[1:]
-        rows = []
-        for row in reader:
-            rows.append([float(v) for v in row[1:]])
-    values = Variable(np.array(rows), requires_grad=False)
-    return AdjacencyMatrix(values, names)

@@ -6,10 +6,11 @@ a per-block 1x1 skip tap) -> ReLU/1x1-conv head -> flatten -> dense, giving
 one forecast per target node. The single-scale variant uses one dilated
 branch per block; the multi-scale variant concatenates several kernel
 size / dilation branches before a 1x1 reduction. Both gate units of a
-block run as one causal convolution composed from their parameters. Each
-block keeps the kernel it last composed and composes again only when one
-of those parameters has changed bit for bit, so repeated forecasts on
-unchanged parameters skip composing (see ``_ComposedCache``).
+block run as one causal convolution composed from their parameters. The
+block's ``_ComposedCache`` owns that kernel: it keeps the arrays it last
+composed, by reference, and composes new ones only when one of those
+parameters has changed bit for bit, so repeated forecasts on unchanged
+parameters skip composing.
 
 Layout: the network takes [B, D, N, W] and permutes it once to the
 [C, W, B, N] (channel, time, batch, node) layout of the autodiff 4-D ops.
@@ -48,11 +49,6 @@ _POSITIVE_INTS = (
     "num_blocks", "residual_channels", "skip_channels", "embedding_width",
     "window", "horizon", "num_nodes", "num_features",
 )
-
-
-def default_branch_specs(variant: str, num_blocks: int):
-    """Per-block (kernel_size, dilation) branch lists."""
-    return ModelConfig(variant=variant, num_blocks=num_blocks).branch_specs
 
 
 def _positive_pair(value) -> bool:
@@ -161,74 +157,46 @@ def _union_lags(branches):
     return tuple(sorted({lag for k, d in branches for lag in ad.dilated_lags(k, d)}))
 
 
-def _tcn_forward(x: Variable, units, cache=None) -> Variable:
-    """Outputs of TCN subunits that share one branch layout, stacked on the
-    channel axis, computed as one causal convolution over the union of their
-    tap lags. Its kernel is composed from the branch and reduce parameters,
-    so gradients reach those parameters unchanged. With a ``_ComposedCache``
-    of these units, the kernel is composed again only when one of their
-    parameter values changed; otherwise the stored one is reused."""
-    lags = units[0].lags
-    stored = None if cache is None else cache.lookup(units)
-    kernel, bias = ad.compose_causal_kernel(
-        [u.composition() for u in units], lags, values=stored
-    )
-    if cache is not None and stored is None:
-        cache.store(units, kernel.value, bias.value)
-    return ad.conv_time_causal(x, kernel, lags, bias)
-
-
-def _param_values(units):
-    return [p.value for u in units for _, p in u.parameters()]
-
-
 class _ComposedCache:
-    """The kernel and bias that a set of TCN subunits was last composed
-    into, with a copy of the bytes of the parameter values they came from.
+    """The one causal convolution that a block's TCN subunits run as: its
+    kernel and bias, last composed from their branch and reduce parameters,
+    with the id and bytes of each parameter value they came from.
 
     Adam and ``load_state_dict`` replace a parameter's ``.value``, and an
-    in-place edit keeps its identity, so ``lookup`` checks both: an array
-    that is not the one last stored is a miss without comparing, and the
-    one last stored must still hold its copied bytes. Every buffer is
-    allocated here and refreshed in place, so the cache keeps no array a
-    forward allocates. Refreshing the kernel in place changes the value of
-    a kernel Variable returned earlier; that is safe because nothing reads
-    it after its forward (``conv_time_causal`` copies the kernel only when
-    recording, for its backward, and the composed kernel's backward reads
-    only the parameter arrays of its forward).
+    in-place edit keeps its identity, so ``compose`` checks both. A miss
+    composes new arrays and keeps references to them. Nothing writes into
+    an array once composed, so a backward recorded on an earlier kernel
+    still reads that kernel.
     """
 
     def __init__(self, units):
-        self.copies = [bytearray(v.nbytes) for v in _param_values(units)]
-        self.ids = [None] * len(self.copies)
-        c_out = units[0].reduce_w.value.shape[0]
-        c_in = units[0].kernels[0][1].value.shape[1]
-        self.kernel = np.empty((len(units) * c_out, len(units[0].lags), c_in))
-        self.bias = np.empty(len(units) * c_out)
+        self.units = units
+        self.lags = units[0].lags
+        self.values = None  # (kernel, bias) arrays of the last composition
+        self.seen = None  # (id, bytes) of each parameter value they came from
 
-    def lookup(self, units):
-        """(kernel, bias) if every parameter value of units is bit for bit
-        the one they were composed from, else None."""
-        for value, seen, copy in zip(_param_values(units), self.ids, self.copies):
-            # an id reused by a new array only costs a comparison
-            if id(value) != seen or value.tobytes() != copy:
-                return None
-        return self.kernel, self.bias
-
-    def store(self, units, kernel, bias):
-        """Keep kernel and bias, composed from the units' current parameters."""
-        np.copyto(self.kernel, kernel)
-        np.copyto(self.bias, bias)
-        for i, value in enumerate(_param_values(units)):
-            self.ids[i] = id(value)
-            self.copies[i][:] = value.tobytes()
+    def compose(self):
+        """(kernel, bias) Variables of the units' causal convolution over
+        ``lags``, recording their composition so gradients reach the branch
+        and reduce parameters. The stored arrays are reused when every
+        parameter value is bit for bit one they were composed from;
+        otherwise the units are composed again."""
+        # the bytes catch an in-place edit, and a new array at a freed one's id
+        seen = [(id(p.value), p.value.tobytes()) for u in self.units for _, p in u.parameters()]
+        hit = seen == self.seen
+        kernel, bias = ad.compose_causal_kernel(
+            [u.composition() for u in self.units], self.lags, values=self.values if hit else None
+        )
+        if not hit:
+            self.values, self.seen = (kernel.value, bias.value), seen
+        return kernel, bias
 
 
 class _TcnSubunit:
     """Parallel dilated causal branches, concatenated and 1x1-reduced.
 
     The chain is linear, so it runs as a single causal convolution (see
-    ``_tcn_forward``); the parameters stay those of the branches and reduce.
+    ``_ComposedCache``); the parameters stay those of the branches and reduce.
     """
 
     def __init__(self, prefix, channels, branches, rng):
@@ -247,9 +215,6 @@ class _TcnSubunit:
         """(reduce weight, reduce bias, [(branch kernel, dilation), ...])."""
         kernels = [(kern, d) for (_name, kern), (_k, d) in zip(self.kernels, self.branches)]
         return self.reduce_w, self.reduce_b, kernels
-
-    def forward(self, x: Variable) -> Variable:
-        return _tcn_forward(x, [self])
 
     def parameters(self):
         return self.kernels + [
@@ -270,14 +235,13 @@ class _StBlock:
         self.skip_b = Variable(np.zeros(config.skip_channels))
         self.gcn_theta = Variable(_uniform_fan_in(rng, (c, c), c))
         self.gcn_bias = Variable(np.zeros(c))
-        self.gate_cache = _ComposedCache([self.tcn_a, self.tcn_b])
+        self.gate = _ComposedCache([self.tcn_a, self.tcn_b])
 
     def forward(self, x: Variable, adj: graph.AdjacencyMatrix, gcn: bool = True):
         """(block output, skip tap); the block output is None when gcn is
         False, for a final block whose output nothing reads."""
-        gated = ad.gated_tanh_sigmoid(
-            _tcn_forward(x, [self.tcn_a, self.tcn_b], self.gate_cache)
-        )
+        kernel, bias = self.gate.compose()
+        gated = ad.gated_tanh_sigmoid(ad.conv_time_causal(x, kernel, self.gate.lags, bias))
         skip_tap = ad.conv_1x1(gated, self.skip_w, self.skip_b)
         if not gcn:
             return None, skip_tap
@@ -301,6 +265,8 @@ class Network:
     """The assembled forecaster; all blocks share one adjacency."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, node_order=None):
+        if not int_at_least(seed, 0):
+            raise ConfigError(f"must be a non-negative int, got {seed!r}", "seed")
         self.config = config
         self.seed = seed
         rng = np.random.default_rng(seed)
@@ -394,13 +360,6 @@ class Network:
         names = [n for n, _ in params]
         assert len(names) == len(set(names)), "duplicate parameter name"
         return params
-
-    def structurally_dead(self):
-        """Parameter names that can never receive gradient: only the skip
-        taps feed the head, so the final block's graph convolution output
-        is discarded and its weights stay at their initial values."""
-        last = f"block{self.config.num_blocks - 1}"
-        return {f"{last}.gcn.theta", f"{last}.gcn.bias"}
 
     def zero_grad(self):
         for _, p in self.parameters():

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .config import ConfigError
+from .config import ConfigError, finite_number, int_at_least
 from .data import WIND_SPEED, DatasetTensor, MinMaxScaler, batch_iter
 from .model import ModelConfig, Network
 
@@ -137,6 +137,13 @@ class Checkpoint:
         bad = [k for k, kind in TRAILER_TYPES.items() if not isinstance(trailer.get(k), kind)]
         if bad:
             raise CheckpointError(f"{path}: trailer keys missing or mistyped: {bad}")
+        for key, ok, want in (
+            ("seed", not isinstance(trailer["seed"], bool), "an int"),
+            ("epoch", int_at_least(trailer["epoch"], 0), "a non-negative int"),
+            ("val_loss", finite_number(trailer["val_loss"]), "a finite number"),
+        ):
+            if not ok:
+                raise CheckpointError(f"{path}: {key}: must be {want}, got {trailer[key]!r}")
         try:
             model = ModelConfig.from_dict(trailer["config"])
         except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError

@@ -327,6 +327,13 @@ _OPERAND_OPS = {
     "conv_1x1": (ad.conv_1x1, [(3, 2, 2, 2), (4, 3), (4,)]),
     "node_mix": (graph._node_mix, [(2, 2, 2, 3), (3, 3)]),
     "compose_causal_kernel": (_compose_one_unit, [(2, 4), (2,), (2, 2, 2), (2, 2, 3)]),
+    # sorted lags bind the kernel's array; unsorted ones bind its reordered copy
+    "conv_time_causal": (
+        lambda x, k, b: ad.conv_time_causal(x, k, [0, 1, 3], b), [(2, 5, 1, 2), (3, 3, 2), (3,)]
+    ),
+    "conv_time_causal_unsorted": (
+        lambda x, k, b: ad.conv_time_causal(x, k, [3, 0, 1], b), [(2, 5, 1, 2), (3, 3, 2), (3,)]
+    ),
 }
 
 

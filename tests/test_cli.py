@@ -266,6 +266,28 @@ class TestBadInputExitsOne:
         assert f"{key}: " in err
 
     @pytest.mark.parametrize(
+        "command, key, value, reason",
+        [(command, "seed", -1, "must be a non-negative int") for command in COMMANDS]
+        + [
+            ("export-adjacency", "seed", True, "must be an int"),
+            ("eval", "epoch", False, "must be a non-negative int"),
+            ("predict", "epoch", -1, "must be a non-negative int"),
+            ("dump-plot-data", "val_loss", float("nan"), "must be a finite number"),
+            ("eval", "val_loss", True, "must be a finite number"),
+        ],
+    )
+    def test_checkpoint_trailer_number_named(
+        self, workdir, tmp_path, capfd, command, key, value, reason
+    ):
+        ckpt = Checkpoint.load(workdir["checkpoint"])
+        setattr(ckpt, key, value)
+        bad = tmp_path / "edited.bin"
+        ckpt.save(bad)
+        rc = main(workdir["argv"] + [command, str(bad)])
+        assert rc == 1
+        assert f"{bad}: {key}: {reason}, got {value!r}" in capfd.readouterr().err
+
+    @pytest.mark.parametrize(
         "key, value", [("train.lr", "x"), ("model.window", 2.5), ("seed", None)]
     )
     def test_checkpoint_run_config_value_named(self, workdir, tmp_path, capfd, key, value):

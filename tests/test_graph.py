@@ -11,7 +11,6 @@ from mswavenet.graph import (
     adjacency_softmax,
     export_adjacency,
     gcn_forward,
-    load_adjacency_csv,
 )
 
 import batch_major
@@ -153,9 +152,9 @@ class TestExportAdjacency:
         assert len(rows) == 6
         for row in rows[1:]:
             assert sum(float(v) for v in row[1:]) == pytest.approx(1.0, abs=1e-9)
-        back = load_adjacency_csv(path)
-        assert back.node_order == names
-        np.testing.assert_allclose(back.values.value, adj.values.value, atol=1e-9)
+        back = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+        assert [row[0] for row in rows[1:]] == names
+        np.testing.assert_allclose(back, adj.values.value, atol=1e-9)
 
     def test_uniform_export(self, tmp_path):
         adj = AdjacencyMatrix(
@@ -163,5 +162,5 @@ class TestExportAdjacency:
         )
         path = tmp_path / "adj.csv"
         export_adjacency(adj, path)
-        back = load_adjacency_csv(path)
-        np.testing.assert_array_equal(back.values.value, np.full((5, 5), 0.2))
+        back = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(1, 6))
+        np.testing.assert_array_equal(back, np.full((5, 5), 0.2))

@@ -17,8 +17,8 @@ from mswavenet.model import (
     ConfigError,
     ModelConfig,
     Network,
+    _ComposedCache,
     _TcnSubunit,
-    default_branch_specs,
     receptive_field,
 )
 from mswavenet.training import AdamOptimizer
@@ -55,7 +55,7 @@ class TestModelConfig:
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            default_branch_specs("triple_scale", 4)
+            ModelConfig(variant="triple_scale", num_blocks=4)
 
     def test_one_config_error_type(self):
         from mswavenet import config
@@ -170,6 +170,12 @@ class TestReceptiveField:
         np.testing.assert_array_equal(net.temporal_stack(x_out).value[0, :, :, -1], base)
 
 
+def _tcn(unit, x):
+    """One TCN subunit's output: its composed kernel as a causal convolution."""
+    kernel, bias = _ComposedCache([unit]).compose()
+    return ad.conv_time_causal(x, kernel, unit.lags, bias)
+
+
 class TestTcnSubunit:
     def test_identity_passthrough(self):
         # single K=1 branch with identity kernel and identity reduce
@@ -178,11 +184,11 @@ class TestTcnSubunit:
         unit.reduce_w = Variable(np.eye(2))
         unit.reduce_b = Variable(np.zeros(2))
         x = np.random.default_rng(1).normal(size=(2, 5, 2, 3))  # [C, W, B, N]
-        np.testing.assert_allclose(unit.forward(Variable(x)).value, x)
+        np.testing.assert_allclose(_tcn(unit, Variable(x)).value, x)
 
     def test_output_width_preserved(self, rng):
         unit = _TcnSubunit("t", 3, [(2, 1), (3, 2), (6, 3)], np.random.default_rng(0))
-        out = unit.forward(Variable(rng.normal(size=(3, 20, 2, 4))))
+        out = _tcn(unit, Variable(rng.normal(size=(3, 20, 2, 4))))
         assert out.value.shape == (3, 20, 2, 4)
 
     def test_branch_count_in_parameters(self):
@@ -252,6 +258,11 @@ class TestNetworkForward:
         with pytest.raises(ConfigError, match=f"^node_order: {len(order)} names for 3 nodes"):
             Network(small_config(), node_order=order)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+    def test_seed_checked(self, seed):
+        with pytest.raises(ConfigError, match=f"^seed: must be a non-negative int, got {seed!r}$"):
+            Network(small_config(), seed=seed)
+
     def test_seed_changes_init(self):
         a = Network(small_config(), seed=0).state_dict()
         b = Network(small_config(), seed=1).state_dict()
@@ -265,7 +276,7 @@ class TestNetworkForward:
         h = ad.conv_1x1(x, net.input_w, net.input_b)
         block = net.blocks[0]
         gated = ad.multiply(
-            ad.tanh(block.tcn_a.forward(h)), ad.sigmoid(block.tcn_b.forward(h))
+            ad.tanh(_tcn(block.tcn_a, h)), ad.sigmoid(_tcn(block.tcn_b, h))
         )
         assert np.all(np.abs(gated.value) < 1.0)
 
@@ -286,16 +297,20 @@ class TestGradientCoverage:
         x = rng.normal(size=(3, 4, 3, 16))
         loss = ad.mse_loss(net.forward(x), rng.normal(size=(3, 2)))
         ad.backward(loss)
-        dead = net.structurally_dead()
+        # only the skip taps feed the head, so the final block's graph
+        # convolution output is discarded and its weights get no gradient
+        dead = {"block1.gcn.theta", "block1.gcn.bias"}
         for name, p in net.parameters():
             if name in dead:
                 assert p.grad is None or not np.any(p.grad), name
             else:
                 assert p.grad is not None and np.any(p.grad != 0), name
 
-    def test_dead_set_names_final_block_gcn(self):
+    def test_dead_set_names_final_block_gcn(self, rng):
         net = Network(small_config(num_blocks=3), seed=0)
-        assert net.structurally_dead() == {"block2.gcn.theta", "block2.gcn.bias"}
+        ad.backward(ad.mse_loss(net.forward(rng.normal(size=(2, 4, 3, 16))), np.zeros((2, 2))))
+        dead = {name for name, p in net.parameters() if p.grad is None}
+        assert dead == {"block2.gcn.theta", "block2.gcn.bias"}
 
 
 class TestVariants:
@@ -561,7 +576,8 @@ class TestComposedCache:
         ref = _forecast(_fresh_copy(net), x, record)
         for _ in range(3):  # a miss, then hits
             assert _forecast(net, x, record).tobytes() == ref.tobytes()
-            assert all(b.gate_cache.lookup([b.tcn_a, b.tcn_b]) is not None for b in net.blocks)
+            kernels = [b.gate.values[0] for b in net.blocks]
+            assert all(b.gate.compose()[0].value is k for b, k in zip(net.blocks, kernels))
 
     @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
     def test_gradients_bitwise_equal_over_adam_steps(self, variant, rng):
@@ -638,13 +654,13 @@ class TestComposedCache:
         assert alive() is None
 
     def test_recorded_backward_outlives_a_refresh(self, rng):
-        """A forward recorded on a hit, then a forecast whose miss refreshes
-        the stored kernel in place: the first loss's backward still reads
-        the kernel of its own forward."""
+        """A forward recorded on a hit, then a forecast whose miss composes
+        the gate kernel again: the first loss's backward still reads the
+        kernel of its own forward."""
         net = _perturbed(MULTI_SCALE, rng)
         x = rng.normal(size=(2, 4, 5, 48))
         target = rng.normal(size=(2, 3))
-        cache = net.blocks[0].gate_cache
+        gate = net.blocks[0].gate
         kern = net.blocks[0].tcn_a.kernels[0][1]
 
         def input_grad(between):
@@ -655,24 +671,11 @@ class TestComposedCache:
             return xv.grad
 
         def refresh():
-            stored = cache.kernel.copy()
+            stored = gate.values[0].copy()
             kern.value = kern.value + 0.01
             _forecast(net, x, record=False)
-            assert not np.array_equal(cache.kernel, stored)
+            assert not np.array_equal(gate.values[0], stored)
 
         _forecast(net, x, record=False)  # store the kernels, so the next forward hits
         want = input_grad(lambda: None)
         np.testing.assert_array_equal(input_grad(refresh), want)
-
-    def test_cache_arrays_keep_their_identity_across_a_miss(self, rng):
-        net = _perturbed(MULTI_SCALE, rng)
-        x = rng.normal(size=(1, 4, 5, 48))
-        cache = net.blocks[1].gate_cache
-        units = [net.blocks[1].tcn_a, net.blocks[1].tcn_b]
-        _forecast(net, x, record=False)
-        arrays = [cache.kernel, cache.bias] + cache.copies
-        bias = cache.bias.copy()
-        net.blocks[1].tcn_a.reduce_b.value[0] += 1.0
-        _forecast(net, x, record=False)
-        assert all(a is b for a, b in zip([cache.kernel, cache.bias] + cache.copies, arrays))
-        assert cache.bias[0] == bias[0] + 1.0 and cache.lookup(units) is not None

@@ -3,18 +3,100 @@
 import types
 from pathlib import Path
 
-from mswavenet import autodiff
+import numpy as np
+
+from mswavenet import autodiff, data, graph, model, pipeline, synthetic, training
+from mswavenet.data import MinMaxScaler, make_windows
+from mswavenet.model import SINGLE_SCALE, ModelConfig, Network
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+MODULES = (autodiff, data, graph, model, pipeline, synthetic, training)
+CLASSES = [
+    value for module in MODULES for value in vars(module).values()
+    if isinstance(value, type) and value.__module__ == module.__name__
+]
+
+
+def _tracing():
+    """perfbench/tracing.py, compiled from its source text, so no bytecode
+    cache is written beside it."""
+    tracing = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), tracing.__dict__)
+    return tracing
+
+
+def _owner_name(owner):
+    return f"{owner.__module__}.{owner.__qualname__}" if isinstance(owner, type) else owner.__name__
+
+
+def _attributes():
+    """(owner, name) -> value of every attribute of the package's modules
+    and of the classes they define."""
+    return {
+        (_owner_name(owner), name): value
+        for owner in MODULES + tuple(CLASSES)
+        for name, value in vars(owner).items()
+    }
 
 
 def test_traced_ops_exist_in_autodiff():
     """perfbench/tracing.py wraps each op in _OPS (and counts the FLOP of
     each in _GEMM_FLOP) by name; one missing from autodiff breaks
-    ``--trace 1``. The module is compiled from its source text, so no
-    bytecode cache is written beside it."""
-    tracing = types.ModuleType("perfbench_tracing")
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), tracing.__dict__)
+    ``--trace 1``."""
+    tracing = _tracing()
     names = set(tracing._OPS) | set(tracing._GEMM_FLOP)
     missing = sorted(n for n in names if not callable(getattr(autodiff, n, None)))
     assert not missing, f"perfbench/tracing.py traces ops autodiff no longer has: {missing}"
+
+
+def test_every_hook_installs_and_restores_by_identity():
+    """Each level replaces every attribute it patches by name, and puts
+    back the very object it found on exit. The full trace skips a data
+    layer function it does not find, so those are named here."""
+    tracer = _tracing().Tracer()
+    data_layer = {
+        (module, name) for module in ("mswavenet.data", "mswavenet.pipeline")
+        for name in ("load_station_csv", "assemble", "make_windows")
+    }
+    for level, required in ((tracer.light, set()), (tracer.full, data_layer)):
+        before = _attributes()
+        with level():
+            during = _attributes()
+            patched = {(_owner_name(owner), attr) for owner, attr, _ in tracer._saved}
+        changed = {key for key, value in before.items() if during.get(key) is not value}
+        assert patched and changed == patched and required <= patched, level.__name__
+        after = _attributes()
+        assert after.keys() == before.keys(), level.__name__
+        assert all(after[key] is value for key, value in before.items()), level.__name__
+    assert not tracer._saved
+
+
+def test_evaluate_is_captured_once(tmp_path):
+    """The serve workload pops one forecast array per evaluate() from the
+    light probe, so evaluate() must reach predict_physical through the
+    module, where the probe is installed; the full trace wraps the
+    network's forward."""
+    rng = np.random.default_rng(0)
+    raw = rng.uniform(0, 20, size=(30, 4, 2))
+    scaler = MinMaxScaler.fit(raw)
+    dataset = make_windows(scaler.apply(raw), raw, 8, 2, [0, 1])
+    config = ModelConfig(
+        variant=SINGLE_SCALE, num_blocks=1, residual_channels=2, skip_channels=2,
+        head_channels=(2, 2), branch_specs=[[(2, 1)]], embedding_width=2, window=8, horizon=2,
+        num_nodes=2, target_nodes=[0, 1],
+    )
+    net = Network(config, seed=3)
+    path = tmp_path / "ck.bin"
+    training.Checkpoint(
+        params=net.state_dict(), config=config.to_dict(), scaler=scaler.state(), seed=3,
+        epoch=0, val_loss=0.0,
+    ).save(path)
+    tracer = _tracing().Tracer()
+    with tracer.light(), tracer.full():
+        metrics = training.evaluate(training.Checkpoint.load(path), dataset, scaler)
+    assert len(tracer.captured) == 1
+    (pred,) = tracer.captured
+    assert pred.shape == dataset.targets.shape
+    assert metrics.mse == float(((pred - dataset.targets) ** 2).mean())
+    names = {span[0] for span in tracer.spans}
+    assert {"model.forward", "training.checkpoint_load"} <= names

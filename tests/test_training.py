@@ -367,6 +367,47 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(str(p)) + ".*node_order"):
             Checkpoint.load(p)
 
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("seed", True, "must be an int"),
+            ("seed", False, "must be an int"),
+            ("epoch", False, "must be a non-negative int"),
+            ("epoch", -1, "must be a non-negative int"),
+            ("val_loss", True, "must be a finite number"),
+            ("val_loss", float("nan"), "must be a finite number"),
+            ("val_loss", float("-inf"), "must be a finite number"),
+        ],
+    )
+    def test_bad_trailer_number_names_key(self, tmp_path, key, value, reason):
+        trailer = {"config": tiny_config().to_dict(), "scaler": {}, "seed": 0, "epoch": 0,
+                   "val_loss": 0.0, key: value}
+        p = tmp_path / "bad.bin"
+        p.write_bytes(checkpoint_blob(trailer=json.dumps(trailer).encode()))
+        with pytest.raises(CheckpointError) as exc:
+            Checkpoint.load(p)
+        assert str(exc.value) == f"{p}: {key}: {reason}, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "seed, epoch, val_loss", [(100, 0, 0.0), (0, 3, 0), (2**40, 10**6, 1e300)]
+    )
+    def test_trailer_numbers_at_their_bounds_load(self, tmp_path, seed, epoch, val_loss):
+        """perfbench writes seed 100, epoch 0 and val_loss 0.0."""
+        net = Network(tiny_config(), seed=seed)
+        ck = Checkpoint(params=net.state_dict(), config=net.config.to_dict(), scaler={},
+                        seed=seed, epoch=epoch, val_loss=val_loss)
+        ck.save(tmp_path / "ck.bin")
+        back = Checkpoint.load(tmp_path / "ck.bin")
+        assert (back.seed, back.epoch, back.val_loss) == (seed, epoch, val_loss)
+        assert back.build_network().seed == seed
+
+    def test_negative_seed_fails_to_build_naming_seed(self, rng):
+        net = Network(tiny_config(), seed=0)
+        ck = Checkpoint(params=net.state_dict(), config=net.config.to_dict(), scaler={},
+                        seed=-1, epoch=0, val_loss=0.0)
+        with pytest.raises(CheckpointError, match="^seed: must be a non-negative int, got -1$"):
+            ck.build_network()
+
     def test_trailing_garbage(self, tmp_path, rng):
         p = tmp_path / "g.bin"
         self.sample(rng).save(p)
