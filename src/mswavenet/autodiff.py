@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import math
 import warnings
 
 import numpy as np
@@ -372,7 +373,7 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
     M = x2.shape[1]
     out_val = np.empty((Co, W, B, N))
     out2 = out_val.reshape(Co, -1)
-    tc = max(1, _BLOCK_COLS // S)
+    tc = max(1, _BLOCK_COLS // max(S, 1))
     scratch = np.empty(L * Ci * min(tc, W) * S)
     for t0 in range(0, W, tc):
         n = min(tc, W - t0)
@@ -612,7 +613,7 @@ def flatten(x) -> Variable:
     """[B, ...] -> [B, F], preserving row-major element order."""
     x = as_variable(x)
     shape = x.value.shape
-    out_val = x.value.reshape(shape[0], -1)
+    out_val = x.value.reshape(shape[0], math.prod(shape[1:]))
 
     def backward_fn(g):
         x.accumulate_grad(g.reshape(shape))

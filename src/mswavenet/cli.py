@@ -14,7 +14,6 @@ import os
 import sys
 from datetime import timedelta
 
-from . import autodiff as ad
 from . import pipeline, synthetic, training
 from .config import ConfigError, RunConfig, load_run_config
 from .data import EXPECTED_HEADER, MinMaxScaler, PipelineError, assemble, sliding_windows
@@ -24,6 +23,7 @@ from .training import (
     Checkpoint,
     CheckpointError,
     evaluate_network,
+    forecast,
     persistence_baseline,
     predict_physical,
 )
@@ -110,12 +110,10 @@ def cmd_predict(cfg: RunConfig, args) -> int:
             f"need at least {window} recent hours per station, got {raw.shape[0]}"
         )
     x = sliding_windows(scaler.apply(raw[-window:]), window)
-    with ad.no_grad():
-        pred_norm = net.forward(x).value[0]
-    when = timestamps[-1] + timedelta(hours=horizon)
     target_idx = cfg.target_node_indices()
-    for j, node in enumerate(target_idx):
-        value = scaler.invert_wind_speed(pred_norm[j], node)
+    pred = scaler.invert_wind_speed(forecast(net, x)[0], target_idx)
+    when = timestamps[-1] + timedelta(hours=horizon)
+    for node, value in zip(target_idx, pred):
         print(f"{node_order[node]} {when.isoformat()} {float(value):.4f}")
     return 0
 

@@ -187,6 +187,8 @@ class RunConfig:
             errors.append("train.factor must lie in (0, 1)")
         if v["train.patience"] < 1:
             errors.append("train.patience must be >= 1")
+        if v["data.max_gap_hours"] < 0:
+            errors.append("data.max_gap_hours must be >= 0")
         for key in ("split.train_years", "split.val_years", "split.test_years"):
             try:
                 self.years(key)

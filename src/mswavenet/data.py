@@ -349,8 +349,22 @@ def split_by_years(timestamps, train_years, val_years, test_years):
     return tuple(out)
 
 
+def _min_max(values, lo, hi) -> np.ndarray:
+    """(values - lo) / (hi - lo), broadcast; where hi == lo the range carries
+    no information and the value is parked at mid-range, 0.5."""
+    span = hi - lo
+    const = span == 0.0
+    out = np.asarray((np.asarray(values, dtype=np.float64) - lo) / np.where(const, 1.0, span))
+    np.copyto(out, 0.5, where=const)
+    return out
+
+
 class MinMaxScaler:
-    """Per-(feature, node) min-max statistics fitted on the training split."""
+    """Per-(feature, node) min-max statistics fitted on the training split.
+
+    The wind-speed maps take ``nodes`` as one node index, applied to every
+    value, or as one node index per column of ``values``, so a [S, n_targets]
+    array of all target stations maps in one call."""
 
     def __init__(self, mins: np.ndarray, maxs: np.ndarray):
         self.mins = np.asarray(mins, dtype=np.float64)  # [D, N]
@@ -363,21 +377,13 @@ class MinMaxScaler:
         return cls(train_raw.min(axis=0), train_raw.max(axis=0))
 
     def apply(self, raw: np.ndarray) -> np.ndarray:
-        span = self.maxs - self.mins
-        const = span == 0.0
-        out = (raw - self.mins) / np.where(const, 1.0, span)
-        # constant features carry no information; park them at mid-range
-        out[:, const] = 0.5
-        return out
+        return _min_max(raw, self.mins, self.maxs)
 
-    def normalize_wind_speed(self, values: np.ndarray, node: int) -> np.ndarray:
-        lo, hi = self.mins[WIND_SPEED, node], self.maxs[WIND_SPEED, node]
-        if hi == lo:
-            return np.full_like(np.asarray(values, dtype=np.float64), 0.5)
-        return (np.asarray(values, dtype=np.float64) - lo) / (hi - lo)
+    def normalize_wind_speed(self, values, nodes) -> np.ndarray:
+        return _min_max(values, self.mins[WIND_SPEED, nodes], self.maxs[WIND_SPEED, nodes])
 
-    def invert_wind_speed(self, values: np.ndarray, node: int) -> np.ndarray:
-        lo, hi = self.mins[WIND_SPEED, node], self.maxs[WIND_SPEED, node]
+    def invert_wind_speed(self, values, nodes) -> np.ndarray:
+        lo, hi = self.mins[WIND_SPEED, nodes], self.maxs[WIND_SPEED, nodes]
         return np.asarray(values, dtype=np.float64) * (hi - lo) + lo
 
     def state(self) -> dict:

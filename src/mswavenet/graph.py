@@ -40,20 +40,11 @@ class AdjacencyMatrix:
 
 def adjacency_softmax(emb: NodeEmbeddings, node_order=None) -> AdjacencyMatrix:
     """Row-stochastic adjacency: softmax_rows(E1 @ E2^T)."""
-    logits = ad.matmul(emb.e1, _transpose(emb.e2))
+    logits = ad.matmul(emb.e1, ad.permute(emb.e2, (1, 0)))
     values = ad.softmax_rows(logits)
     if node_order is None:
         node_order = [f"node{i}" for i in range(emb.num_nodes)]
     return AdjacencyMatrix(values, node_order)
-
-
-def _transpose(x: Variable) -> Variable:
-    out_val = x.value.T.copy()
-
-    def backward_fn(g):
-        x.accumulate_grad(g.T)
-
-    return Variable(out_val, (x,), backward_fn)
 
 
 def gcn_forward(x: Variable, adj: AdjacencyMatrix, theta: Variable, bias: Variable) -> Variable:

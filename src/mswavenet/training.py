@@ -2,7 +2,8 @@
 portable binary checkpoints, and MAE/MSE evaluation in physical units.
 
 The loss is MSE on min-max-normalized wind speed; reported metrics
-de-normalize predictions back to m/s first.
+de-normalize predictions back to m/s first. Every forecast without a tape
+(validation, evaluation, the CLI's ``predict``) runs through ``forecast``.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ class Checkpoint:
             for _ in range(count):
                 (name_len,) = struct.unpack("<I", take(4))
                 name = take(name_len).decode("utf-8")
+                if name in params:
+                    raise CheckpointError(f"{path}: params.{name}: listed twice")
                 (rank,) = struct.unpack("<I", take(4))
                 dims = struct.unpack(f"<{rank}I", take(4 * rank))
                 # math.prod of Python ints cannot overflow: oversized dims
@@ -300,24 +303,29 @@ def set_malloc_policy() -> bool:
     return True
 
 
-def _normalized_targets(dataset: DatasetTensor, scaler: MinMaxScaler) -> np.ndarray:
-    out = np.empty_like(dataset.targets)
-    for j, node in enumerate(dataset.target_nodes):
-        out[:, j] = scaler.normalize_wind_speed(dataset.targets[:, j], node)
-    return out
+FORECAST_BATCH = 256  # windows per forward of forecast()
 
 
-def _eval_loss(net: Network, inputs, norm_targets, batch_size=256) -> float:
+def forecast(net: Network, inputs) -> np.ndarray:
+    """Normalized forecasts [S, n_targets] of the windows inputs
+    [S, D, N, W]: ``net.forward`` under ``no_grad``, FORECAST_BATCH windows
+    at a time. No windows give a [0, n_targets] array."""
+    with ad.no_grad():
+        return np.concatenate([
+            net.forward(inputs[start : start + FORECAST_BATCH]).value
+            for start in range(0, max(len(inputs), 1), FORECAST_BATCH)
+        ])
+
+
+def _eval_loss(net: Network, inputs, norm_targets) -> float:
+    """Mean squared error of the forecasts of inputs against norm_targets,
+    summed one FORECAST_BATCH slice at a time."""
+    pred = forecast(net, inputs)
     total_sq = 0.0
-    n = 0
-    for start in range(0, inputs.shape[0], batch_size):
-        xb = inputs[start : start + batch_size]
-        tb = norm_targets[start : start + batch_size]
-        with ad.no_grad():
-            pred = net.forward(xb).value
-        total_sq += float(((pred - tb) ** 2).sum())
-        n += tb.size
-    return total_sq / n
+    for start in range(0, len(pred), FORECAST_BATCH):
+        batch = slice(start, start + FORECAST_BATCH)
+        total_sq += float(((pred[batch] - norm_targets[batch]) ** 2).sum())
+    return total_sq / norm_targets.size
 
 
 def train(
@@ -340,8 +348,10 @@ def train(
         raise TrainingError("training split is empty")
     set_malloc_policy()
     optimizer = AdamOptimizer(net.parameters(), lr=lr)
-    norm_train_ds = replace(train_ds, targets=_normalized_targets(train_ds, scaler))
-    val_targets = _normalized_targets(val_ds, scaler) if len(val_ds) else None
+    norm_train_ds = replace(
+        train_ds, targets=scaler.normalize_wind_speed(train_ds.targets, train_ds.target_nodes)
+    )
+    val_targets = scaler.normalize_wind_speed(val_ds.targets, val_ds.target_nodes) if len(val_ds) else None
 
     def make_checkpoint(epoch, val_loss):
         return Checkpoint(
@@ -440,8 +450,9 @@ def _metrics(pred: np.ndarray, dataset: DatasetTensor) -> Metrics:
     )
 
 
-def predict_physical(net: Network, dataset: DatasetTensor, scaler: MinMaxScaler, batch_size=256):
-    """Model forecasts de-normalized to m/s, [S, n_targets]. Raises
+def predict_physical(net: Network, dataset: DatasetTensor, scaler: MinMaxScaler):
+    """The forecast() of dataset's windows de-normalized to m/s, [S,
+    n_targets], with the scaler's range of each target station. Raises
     TrainingError if the network forecasts another number of targets."""
     n_out = len(net.config.target_nodes)
     if n_out != len(dataset.target_nodes):
@@ -449,16 +460,7 @@ def predict_physical(net: Network, dataset: DatasetTensor, scaler: MinMaxScaler,
             f"the network forecasts {n_out} target nodes, the dataset has "
             f"{len(dataset.target_nodes)}"
         )
-    preds = []
-    for start in range(0, len(dataset), batch_size):
-        xb = dataset.inputs[start : start + batch_size]
-        with ad.no_grad():
-            preds.append(net.forward(xb).value)
-    pred = np.concatenate(preds, axis=0) if preds else np.zeros_like(dataset.targets)
-    out = np.empty_like(pred)
-    for j, node in enumerate(dataset.target_nodes):
-        out[:, j] = scaler.invert_wind_speed(pred[:, j], node)
-    return out
+    return scaler.invert_wind_speed(forecast(net, dataset.inputs), dataset.target_nodes)
 
 
 def evaluate(checkpoint: Checkpoint, dataset: DatasetTensor, scaler: MinMaxScaler) -> Metrics:
@@ -475,8 +477,5 @@ def evaluate_network(net: Network, dataset: DatasetTensor, scaler: MinMaxScaler)
 
 def persistence_baseline(dataset: DatasetTensor, scaler: MinMaxScaler) -> Metrics:
     """Forecast = last observed wind speed in the window, in m/s."""
-    pred = np.empty_like(dataset.targets)
-    for j, node in enumerate(dataset.target_nodes):
-        last = dataset.inputs[:, WIND_SPEED, node, -1]
-        pred[:, j] = scaler.invert_wind_speed(last, node)
-    return _metrics(pred, dataset)
+    nodes = dataset.target_nodes
+    return _metrics(scaler.invert_wind_speed(dataset.inputs[:, WIND_SPEED, nodes, -1], nodes), dataset)

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -230,6 +231,23 @@ class TestBadInputExitsOne:
         rc = self.train_on_edited_line_4(workdir, tmp_path, edit)
         assert rc == 1
         assert f"node1.csv: line 4: {reason}" in capfd.readouterr().err
+
+    def test_parameter_listed_twice_exits_one(self, workdir, tmp_path, capfd):
+        """A first copy of adjacency.e1, all 7.0, ahead of the trained one:
+        every command exits 1 naming the file and the parameter, instead of
+        loading the last copy."""
+        blob = workdir["checkpoint"].read_bytes()
+        (count,) = struct.unpack_from("<I", blob, 5)
+        e1 = Checkpoint.load(workdir["checkpoint"]).params["adjacency.e1"]
+        name = b"adjacency.e1"
+        entry = struct.pack(f"<I{len(name)}sI2I", len(name), name, 2, *e1.shape)
+        entry += np.full(e1.shape, 7.0).astype("<f8").tobytes()
+        bad = tmp_path / "twice.bin"
+        bad.write_bytes(blob[:5] + struct.pack("<I", count + 1) + entry + blob[9:])
+        for command in COMMANDS:
+            rc = main(workdir["argv"] + [command, str(bad)])
+            err = capfd.readouterr().err
+            assert (rc, f"{bad}: params.adjacency.e1: listed twice" in err) == (1, True), command
 
     def test_checkpoint_config_not_a_model_config(self, workdir, tmp_path, capfd):
         ckpt = Checkpoint.load(workdir["checkpoint"])
@@ -528,6 +546,7 @@ class TestConfigHandling:
             ("synth.nodes=32631", "synth.nodes"),  # its dense adjacency would take 8 GB
             ("synth.graph=star", "synth.graph"),
             ("seed=-1", "seed"),
+            ("data.max_gap_hours=-2", "data.max_gap_hours"),
             ("data.target_nodes=", "data.target_nodes"),
             ("data.target_nodes=Esbjerg,Esbjerg", "data.target_nodes"),
             ("data.node_order=Esbjerg,Odense,Roskilde,Odense", "data.node_order"),
@@ -541,6 +560,11 @@ class TestConfigHandling:
         assert rc == 1
         assert key in capfd.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_max_gap_hours_at_least_zero(self):
+        assert RunConfig({"data.max_gap_hours": 0})["data.max_gap_hours"] == 0
+        with pytest.raises(ConfigError, match="data.max_gap_hours must be >= 0"):
+            RunConfig({"data.max_gap_hours": -2})
 
     def test_synth_keys_checked_for_every_command(self, workdir, capfd):
         rc = main(workdir["argv"] + ["--set", "synth.rho=2", "train"])

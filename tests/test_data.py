@@ -415,6 +415,32 @@ class TestMinMaxScaler:
         back = sc.invert_wind_speed(norm, 1)
         np.testing.assert_allclose(back, vals, atol=1e-12)
 
+    def test_wind_speed_maps_take_one_node_per_column(self, rng):
+        """One call on [S, 3] columns of nodes [2, 1, 0] gives, bit for bit,
+        the three single-node calls; node 1 has a constant range."""
+        raw = rng.uniform(0, 25, size=(50, 4, 3))
+        raw[:, data.WIND_SPEED, 1] = 3.0
+        sc = MinMaxScaler.fit(raw)
+        nodes = [2, 1, 0]
+        cols = raw[:, data.WIND_SPEED][:, nodes]
+        norm = sc.normalize_wind_speed(cols, nodes)
+        back = sc.invert_wind_speed(norm, nodes)
+        for j, node in enumerate(nodes):
+            assert norm[:, j].tobytes() == sc.normalize_wind_speed(cols[:, j], node).tobytes()
+            assert back[:, j].tobytes() == sc.invert_wind_speed(norm[:, j], node).tobytes()
+        np.testing.assert_array_equal(norm[:, 1], 0.5)
+        np.testing.assert_array_equal(back[:, 1], 3.0)
+
+    @pytest.mark.parametrize("value", [7.5, np.float64(7.5)], ids=["python", "numpy"])
+    def test_wind_speed_maps_take_a_scalar(self, value):
+        raw = np.zeros((2, 4, 2))
+        raw[:, data.WIND_SPEED] = [[0.0, 3.0], [10.0, 3.0]]
+        sc = MinMaxScaler.fit(raw)
+        assert float(sc.normalize_wind_speed(value, 0)) == 0.75
+        assert float(sc.normalize_wind_speed(value, 1)) == 0.5
+        assert float(sc.invert_wind_speed(value, 0)) == 75.0
+        assert float(sc.invert_wind_speed(value, 1)) == 3.0
+
     def test_constant_feature_maps_to_half(self):
         raw = np.full((5, 4, 2), 7.0)
         sc = MinMaxScaler.fit(raw)

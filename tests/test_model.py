@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import weakref
 
@@ -212,6 +213,15 @@ class TestNetworkForward:
         net = Network(small_config(), seed=0)
         out = net.forward(rng.normal(size=(7, 4, 3, 16)))
         assert out.value.shape == (7, 2)
+
+    @pytest.mark.parametrize("tape", [True, False], ids=["tape", "no-grad"])
+    def test_empty_batch(self, tape):
+        """Zero windows give zero forecasts, not a ZeroDivisionError in the
+        causal convolution or an ambiguous reshape in flatten."""
+        net = Network(ModelConfig(), seed=0)
+        with contextlib.nullcontext() if tape else ad.no_grad():
+            out = net.forward(np.zeros((0, 4, 5, 48)))
+        assert out.value.shape == (0, 3)
 
     def test_shape_validation(self):
         net = Network(small_config(), seed=0)

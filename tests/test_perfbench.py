@@ -71,6 +71,27 @@ def test_every_hook_installs_and_restores_by_identity():
     assert not tracer._saved
 
 
+def test_scaler_call_shapes_of_the_serve_workload():
+    """The serve workload maps a forecast one value at a time,
+    invert_wind_speed(out[j], n) with a numpy scalar and an int node, and
+    its loss one column at a time, normalize_wind_speed(column, n) with a
+    1-D column. Both give what the one-call maps of every target give;
+    node 1 has a constant range."""
+    rng = np.random.default_rng(0)
+    raw = rng.uniform(0, 20, size=(30, 4, 2))
+    raw[:, data.WIND_SPEED, 1] = 6.0
+    scaler = MinMaxScaler.fit(raw)
+    out = np.array([0.25, 0.75])
+    speeds = raw[:, data.WIND_SPEED]
+    for n in (0, 1):
+        value = scaler.invert_wind_speed(out[n], n)
+        assert np.ndim(value) == 0
+        assert float(value) == scaler.invert_wind_speed(out, [0, 1])[n]
+        column = scaler.normalize_wind_speed(speeds[:, n], n)
+        assert column.shape == (30,)
+        assert column.tobytes() == scaler.normalize_wind_speed(speeds, [0, 1])[:, n].tobytes()
+
+
 def test_evaluate_is_captured_once(tmp_path):
     """The serve workload pops one forecast array per evaluate() from the
     light probe, so evaluate() must reach predict_physical through the

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import per_station
 from conftest import backward_keeping_tape
 from mswavenet import autodiff as ad
 from mswavenet import training
@@ -25,6 +26,7 @@ from mswavenet.training import (
     PlateauScheduler,
     TrainingError,
     evaluate,
+    forecast,
     overfit,
     persistence_baseline,
     predict_physical,
@@ -309,6 +311,7 @@ class TestCheckpoint:
         "blob, reason",
         [
             (MAGIC + b"garbage", "truncated"),
+            (checkpoint_blob([(b"w", (1,), b"\0" * 8)] * 2), "params.w: listed twice"),
             (checkpoint_blob(trailer=b'{"config": {}, "seed": 0, "epoch": 0, "val_loss": 0}'), "scaler"),
             (checkpoint_blob([(b"w", (2**31, 2**31, 2**31), b"")]), "truncated"),
             (checkpoint_blob([(b"w", (1,) * 70, b"\0" * 8)]), "malformed"),
@@ -325,7 +328,7 @@ class TestCheckpoint:
             ),
         ],
         ids=[
-            "garbage", "no-scaler", "overflowing-dims", "too-many-dims", "name-not-utf8",
+            "garbage", "param-twice", "no-scaler", "overflowing-dims", "too-many-dims", "name-not-utf8",
             "trailer-not-utf8", "trailer-not-json", "trailer-not-object", "config-not-object",
             "config-not-a-model",
         ],
@@ -647,6 +650,43 @@ class TestMetricsAndBaseline:
         ck = Checkpoint(net.state_dict(), net.config.to_dict(), scaler.state(), 0, 1, 0.1)
         with pytest.raises(TrainingError, match="scaler"):
             evaluate(ck, ds, other)
+
+
+class TestOneForecastPath:
+    """forecast() and the one-call scaler maps against the per-station
+    loops they replaced (tests/per_station.py), bit for bit: 300 windows,
+    one batch of 256 and one of 44, on three target stations, one of which
+    has a constant fitted wind-speed range. The rows-from-3 case reads
+    strided views, as a split of a prepared series does."""
+
+    @staticmethod
+    def case(rng, rows):
+        raw = rng.uniform(0, 20, size=(309, 4, 3))
+        raw[:, WIND_SPEED, 2] = 4.5
+        scaler = MinMaxScaler.fit(raw)
+        ds = make_windows(scaler.apply(raw), raw, 8, 2, [0, 2, 1])
+        ds = dataclasses.replace(ds, inputs=ds.inputs[rows], targets=ds.targets[rows])
+        net = Network(tiny_config(num_nodes=3, target_nodes=[0, 2, 1]), seed=4)
+        return net, ds, scaler
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(3, None)], ids=["all", "from-3"])
+    def test_bitwise_the_per_station_loops(self, rng, rows):
+        net, ds, scaler = self.case(rng, rows)
+        norm = scaler.normalize_wind_speed(ds.targets, ds.target_nodes)
+        reference = per_station.normalized_targets(ds, scaler)
+        assert norm.tobytes() == reference.tobytes()
+        assert np.all(norm[:, 1] == 0.5)
+        loss = training._eval_loss(net, ds.inputs, norm)
+        assert struct.pack("<d", loss) == struct.pack("<d", per_station.eval_loss(net, ds.inputs, norm))
+        pred = predict_physical(net, ds, scaler)
+        assert pred.tobytes() == per_station.predict_physical(net, ds, scaler).tobytes()
+        baseline = training._metrics(per_station.persistence_forecast(ds, scaler), ds)
+        assert persistence_baseline(ds, scaler) == baseline
+
+    def test_no_windows(self, rng):
+        net, ds, scaler = self.case(rng, slice(0, 0))
+        assert forecast(net, ds.inputs).shape == (0, 3)
+        assert predict_physical(net, ds, scaler).shape == (0, 3)
 
 
 def criterion_5_config():
