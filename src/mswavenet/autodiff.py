@@ -24,7 +24,11 @@ Recording is on by default and off inside ``with no_grad():``, so a
 forward there builds no tape; the same ops run in the same order and give
 the same values. ``no_grad`` nests and restores the previous state on
 exit, also on an exception. Leaf Variables keep the ``requires_grad`` they
-are built with, and ``backward`` rejects a loss without it.
+are built with, and ``backward`` rejects a loss without it. The ops whose
+operands are large activations or data (``conv_time_causal``,
+``conv_1x1``, ``concat_channels`` and ``dense_time_major``) compute no
+gradient for an operand without ``requires_grad``, read when the op runs,
+so a constant input, such as a model's data, gets no ``.grad``.
 
 A backward reads its operands' arrays as the op found them: each op binds
 the ``.value`` arrays it needs when it runs, so assigning a new array to an
@@ -34,13 +38,22 @@ in-place edit would show.
 
 Layout of the 4-D ops: ``conv_time_causal``, ``conv_time_dilated_causal``,
 ``conv_1x1``, ``gated_tanh_sigmoid`` and ``concat_channels`` take and give
-activations as [C, W, B, N] (channel, time, batch, node). The channel axis
-leads, so each op works on the 2-D (C, W*B*N) view as plain GEMMs, and a
-time lag of k steps is an offset of k*B*N columns of that view.
-``conv_time_causal`` takes a tap-major kernel [C_out, L, C_in] and runs
-one GEMM per block of steps over a cache-sized scratch buffer of stacked
-taps; no other op copies a contiguous input. ``permute`` converts to and
-from other layouts, such as the [B, C, N, W] of a model's input and head.
+activations as [C, W, B, N] (channel, time, batch, node), and
+``dense_time_major`` maps them to [B, O]. The channel axis leads, so each
+op works on the 2-D (C, W*B*N) view as plain GEMMs, and a time lag of k
+steps is an offset of k*B*N columns of that view. ``conv_time_causal``
+takes a tap-major kernel [C_out, L, C_in] and runs one GEMM per block of
+steps over a cache-sized scratch buffer of stacked taps; no other op
+copies a contiguous input. ``permute`` converts to and from other layouts,
+such as the [B, C, N, W] of a model's input.
+
+Compositions: ``compose_causal_kernel``, ``fold_conv_1x1`` and
+``compose_head`` build the kernel of one op that equals a linear chain of
+ops, recording the composition so gradients reach the chain's parameters.
+Each takes ``values=``, the arrays it composed before from the same
+parameter values, to record the same gradient path without composing.
+``flatten`` and ``dense`` are kept as the reference the head's contraction
+is tested against.
 """
 
 from __future__ import annotations
@@ -70,6 +83,11 @@ def no_grad():
         yield
     finally:
         _recording = previous
+
+
+def recording() -> bool:
+    """Whether ops record their backward: False inside ``no_grad``."""
+    return _recording
 
 
 def _records(parents) -> bool:  # whether an op over parents records its backward
@@ -390,18 +408,22 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
         out2 += bias.value[:, None]
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     shifts = [(lag * S, i) for i, lag in enumerate(steps) if lag < W]
+    need_x, need_k = x.requires_grad, kernel.requires_grad
+    need_b = bias is not None and bias.requires_grad
 
     def backward_fn(g):
         g2 = g.reshape(Co, -1)
-        gk = np.zeros((Co, L, Ci))
-        for s, i in shifts:
-            np.matmul(g2[:, s:], x2[:, : M - s].T, out=gk[:, order[i]])
-        kernel.accumulate_grad(gk)
-        if bias is not None:
+        if need_k:
+            gk = np.zeros((Co, L, Ci))
+            for s, i in shifts:
+                np.matmul(g2[:, s:], x2[:, : M - s].T, out=gk[:, order[i]])
+            kernel.accumulate_grad(gk)
+        if need_b:
             bias.accumulate_grad(g2.sum(axis=1))
-        gx = np.empty((Ci, W, B, N))  # C order, so its reshape is a view
-        _tap_sum(gx.reshape(Ci, -1), [(s, w[:, i].T) for s, i in shifts], g2)
-        x.accumulate_grad(gx)
+        if need_x:
+            gx = np.empty((Ci, W, B, N))  # C order, so its reshape is a view
+            _tap_sum(gx.reshape(Ci, -1), [(s, w[:, i].T) for s, i in shifts], g2)
+            x.accumulate_grad(gx)
 
     return Variable(out_val, parents, backward_fn)
 
@@ -497,6 +519,38 @@ def compose_causal_kernel(units, lags, values=None):
     return kernel, bias
 
 
+def fold_conv_1x1(kernel, weight, bias, values=None) -> Variable:
+    """Kernel [Co, L, Ci+1] of the causal convolution that equals
+    ``conv_1x1`` (weight [C, Ci], bias [C]) followed by a causal
+    convolution with kernel [Co, L, C], run over the input with one ones
+    channel appended: tap l is kernel[:, l] @ [weight | bias]. The ones
+    channel reads zero before t = 0, like the padding the unfolded kernel
+    reads, so each step gets exactly the bias that reaches it.
+
+    values: optionally the array this composition gave before, as in
+    ``compose_causal_kernel``.
+    """
+    kernel, weight, bias = as_variable(kernel), as_variable(weight), as_variable(bias)
+    Co, L, C = kernel.value.shape
+    if weight.value.ndim != 2 or weight.value.shape[0] != C or bias.value.shape != (C,):
+        raise ShapeMismatchError(
+            f"fold: kernel {kernel.value.shape}, weight {weight.value.shape}, bias {bias.value.shape}"
+        )
+    Ci = weight.value.shape[1]
+    k2 = kernel.value.reshape(Co * L, C)
+    wb = np.concatenate([weight.value, bias.value[:, None]], axis=1)  # [C, Ci+1]
+    out_val = (k2 @ wb).reshape(Co, L, Ci + 1) if values is None else values
+
+    def backward_fn(g):
+        g2 = g.reshape(Co * L, Ci + 1)
+        kernel.accumulate_grad((g2 @ wb.T).reshape(Co, L, C))
+        gwb = k2.T @ g2
+        weight.accumulate_grad(gwb[:, :Ci])
+        bias.accumulate_grad(gwb[:, Ci])
+
+    return Variable(out_val, (kernel, weight, bias), backward_fn)
+
+
 def gated_tanh_sigmoid(z) -> Variable:
     """WaveNet gate over a stacked pair: tanh(z[:C]) * sigmoid(z[C:]) for
     z [2C, ...], giving [C, ...]. The halves are contiguous blocks of z."""
@@ -542,12 +596,16 @@ def conv_1x1(x, weight, bias) -> Variable:
     x2 = x.value.reshape(shape[0], -1)
     out2 = w @ x2
     out2 += bias.value[:, None]
+    need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
 
     def backward_fn(g):
         g2 = g.reshape(Co, -1)
-        weight.accumulate_grad(g2 @ x2.T)
-        bias.accumulate_grad(g2.sum(axis=1))
-        x.accumulate_grad((w.T @ g2).reshape(shape))
+        if need_w:
+            weight.accumulate_grad(g2 @ x2.T)
+        if need_b:
+            bias.accumulate_grad(g2.sum(axis=1))
+        if need_x:
+            x.accumulate_grad((w.T @ g2).reshape(shape))
 
     return Variable(out2.reshape((Co,) + shape[1:]), (x, weight, bias), backward_fn)
 
@@ -565,12 +623,14 @@ def concat_channels(xs) -> Variable:
                 f"non-channel dimensions disagree: {base} vs {s}"
             )
     widths = [x.value.shape[0] for x in xs]
+    needs = [x.requires_grad for x in xs]
     out_val = np.concatenate([x.value for x in xs], axis=0)
 
     def backward_fn(g):
         start = 0
-        for x, c in zip(xs, widths):
-            x.accumulate_grad(g[start : start + c])
+        for x, c, need in zip(xs, widths, needs):
+            if need:
+                x.accumulate_grad(g[start : start + c])
             start += c
 
     return Variable(out_val, tuple(xs), backward_fn)
@@ -639,6 +699,96 @@ def dense(x, weight, bias) -> Variable:
         bias.accumulate_grad(g.sum(axis=0))
 
     return Variable(out_val, (x, weight, bias), backward_fn)
+
+
+def compose_head(conv_w, conv_b, dense_w, dense_b, nodes: int, values=None):
+    """Kernel and bias of the one contraction (``dense_time_major``) that
+    equals ``conv_1x1`` (conv_w [A, C], conv_b [A]) over [C, W, B, N], then
+    permute to [B, A, N, W], ``flatten`` and ``dense`` (dense_w [O, A*N*W],
+    dense_b [O]). With dense_w read as [O, A, N, W]:
+    kernel[c, w, o, n] = sum_a dense_w[o, a, n, w] * conv_w[a, c] and
+    bias[o] = dense_b[o] + sum_{a,n,w} dense_w[o, a, n, w] * conv_b[a].
+    Returns kernel [C, W, O, N] and bias [O].
+
+    values: optionally the (kernel, bias) arrays this composition gave
+    before, as in ``compose_causal_kernel``.
+    """
+    conv_w, conv_b = as_variable(conv_w), as_variable(conv_b)
+    dense_w, dense_b = as_variable(dense_w), as_variable(dense_b)
+    A, C = conv_w.value.shape
+    O, F = dense_w.value.shape
+    if conv_b.value.shape != (A,) or dense_b.value.shape != (O,) or F % (A * nodes):
+        raise ShapeMismatchError(
+            f"head: conv {conv_w.value.shape}, {conv_b.value.shape}; "
+            f"dense {dense_w.value.shape}, {dense_b.value.shape}; {nodes} nodes"
+        )
+    W = F // (A * nodes)
+    cw, cb = conv_w.value, conv_b.value
+    wd = dense_w.value.reshape(O, A, nodes, W)
+    per_channel = wd.sum(axis=(2, 3))  # [O, A]: dense_w summed over (n, w)
+    if values is None:
+        wd_t = wd.transpose(1, 3, 0, 2).reshape(A, W * O * nodes)
+        kernel_val = (cw.T @ wd_t).reshape(C, W, O, nodes)
+        bias_val = dense_b.value + per_channel @ cb
+    else:
+        kernel_val, bias_val = values
+
+    def kernel_backward(g):
+        g2 = g.reshape(C, -1)
+        conv_w.accumulate_grad(wd.transpose(1, 3, 0, 2).reshape(A, -1) @ g2.T)
+        gwd = (cw @ g2).reshape(A, W, O, nodes).transpose(2, 0, 3, 1)
+        dense_w.accumulate_grad(gwd.reshape(O, F))
+
+    def bias_backward(g):
+        dense_b.accumulate_grad(g)
+        conv_b.accumulate_grad(per_channel.T @ g)
+        dense_w.accumulate_grad(np.repeat(np.outer(g, cb), nodes * W, axis=1))
+
+    kernel = Variable(kernel_val, (conv_w, dense_w), kernel_backward)
+    bias = Variable(bias_val, (conv_b, dense_w, dense_b), bias_backward)
+    return kernel, bias
+
+
+def dense_time_major(x, kernel, bias) -> Variable:
+    """Affine map of each window of x [C, W, B, N] to [B, O]:
+    out[b, o] = sum_{c,w,n} x[c, w, b, n] * kernel[c, w, o, n] + bias[o],
+    the ``dense`` of the window flattened in any order, with the weights
+    laid out [C, W, O, N].
+
+    One GEMM over the (C*W, B*N) view of x: Q = x2^T @ kernel2 is
+    [(b, n), (o, n')], and out[b, o] sums its diagonal n = n'. The backward
+    spreads g over that diagonal, G [B*N, O*N], and runs two GEMMs:
+    x2 @ G for the kernel and kernel2 @ G^T for x.
+    """
+    x, kernel, bias = as_variable(x), as_variable(kernel), as_variable(bias)
+    if x.value.ndim != 4 or kernel.value.ndim != 4:
+        raise ShapeMismatchError("expected x [C,W,B,N] and kernel [C,W,O,N]")
+    C, W, B, N = x.value.shape
+    O = kernel.value.shape[2]
+    if kernel.value.shape != (C, W, O, N) or bias.value.shape != (O,):
+        raise ShapeMismatchError(
+            f"x {x.value.shape} needs kernel ({C}, {W}, O, {N}) and bias (O,), "
+            f"got {kernel.value.shape} and {bias.value.shape}"
+        )
+    x2 = x.value.reshape(C * W, B * N)
+    k2 = kernel.value.reshape(C * W, O * N)
+    q = (x2.T @ k2).reshape(B, N, O, N)
+    out_val = q.diagonal(axis1=1, axis2=3).sum(axis=2) + bias.value
+    need_x, need_k, need_b = x.requires_grad, kernel.requires_grad, bias.requires_grad
+
+    def backward_fn(g):
+        spread = np.zeros((B, N, O, N))
+        diag = np.arange(N)
+        spread[:, diag, :, diag] = g
+        spread = spread.reshape(B * N, O * N)
+        if need_k:
+            kernel.accumulate_grad((x2 @ spread).reshape(C, W, O, N))
+        if need_b:
+            bias.accumulate_grad(g.sum(axis=0))
+        if need_x:
+            x.accumulate_grad((k2 @ spread.T).reshape(C, W, B, N))
+
+    return Variable(out_val, (x, kernel, bias), backward_fn)
 
 
 def mse_loss(pred, target) -> Variable:

@@ -5,20 +5,28 @@ blocks (gated TCN, then graph convolution, wrapped in a residual add, with
 a per-block 1x1 skip tap) -> ReLU/1x1-conv head -> flatten -> dense, giving
 one forecast per target node. The single-scale variant uses one dilated
 branch per block; the multi-scale variant concatenates several kernel
-size / dilation branches before a 1x1 reduction. Both gate units of a
-block run as one causal convolution composed from their parameters. The
-block's ``_ComposedCache`` owns that kernel: it keeps the arrays it last
-composed, by reference, and composes new ones only when one of those
-parameters has changed bit for bit, so repeated forecasts on unchanged
-parameters skip composing.
+size / dilation branches before a 1x1 reduction.
+
+Every linear chain runs as one operation, composed from its parameters:
+- both gate units of a block run as one causal convolution;
+- block 0's convolution also absorbs the input 1x1 conv: it reads the
+  input with one ones channel appended, whose zero padding gives each step
+  exactly the bias that reaches it. The input conv still runs, for block
+  0's residual;
+- the head's second 1x1 conv, flatten and dense run as one contraction
+  (``autodiff.dense_time_major``).
+A ``_ComposedCache`` owns each composition: it keeps the arrays it last
+composed, by reference, and composes new ones only when a parameter they
+came from has changed bit for bit, so repeated forecasts on unchanged
+parameters compose nothing. ``forward`` composes them all before its first
+activation. Parameters, their names and shapes, and checkpoints are those
+of the unfolded network.
 
 Layout: the network takes [B, D, N, W] and permutes it once to the
 [C, W, B, N] (channel, time, batch, node) layout of the autodiff 4-D ops.
-Every activation between the input and the head stays in that layout, so
-each convolution is a set of plain 2-D GEMMs on views (see ``autodiff``).
-The head's output is permuted back to [B, C, N, W] before ``flatten``, so
-the dense weights, every parameter shape and every checkpoint keep their
-meaning, and ``temporal_stack`` returns [B, C, N, W].
+Every activation from there to the forecast stays in that layout, so each
+convolution is a set of plain 2-D GEMMs on views (see ``autodiff``), and
+``temporal_stack`` permutes its output back to [B, C, N, W].
 """
 
 from __future__ import annotations
@@ -158,38 +166,36 @@ def _union_lags(branches):
 
 
 class _ComposedCache:
-    """The one causal convolution that a block's TCN subunits run as: its
-    kernel and bias, last composed from their branch and reduce parameters,
-    with the id and bytes of each parameter value they came from.
+    """Arrays composed from a list of parameters, kept by reference with
+    the id and bytes of each parameter value they came from.
 
     Adam and ``load_state_dict`` replace a parameter's ``.value``, and an
     in-place edit keeps its identity, so ``compose`` checks both. A miss
     composes new arrays and keeps references to them. Nothing writes into
-    an array once composed, so a backward recorded on an earlier kernel
-    still reads that kernel.
+    an array once composed, so a backward recorded on an earlier
+    composition still reads that composition's arrays.
     """
 
-    def __init__(self, units):
-        self.units = units
-        self.lags = units[0].lags
-        self.values = None  # (kernel, bias) arrays of the last composition
+    def __init__(self):
+        self.values = None  # arrays of the last composition
         self.seen = None  # (id, bytes) of each parameter value they came from
 
-    def compose(self):
-        """(kernel, bias) Variables of the units' causal convolution over
-        ``lags``, recording their composition so gradients reach the branch
-        and reduce parameters. The stored arrays are reused when every
-        parameter value is bit for bit one they were composed from;
-        otherwise the units are composed again."""
+    def compose(self, parameters, composition):
+        """The Variables composition(values) gives, which record their
+        composition so that gradients reach the parameters. values are the
+        stored arrays when every parameter value is bit for bit one they
+        were composed from (a hit); otherwise None, and the result is
+        stored. A hit under ``no_grad`` returns the stored arrays as
+        constants without calling composition."""
         # the bytes catch an in-place edit, and a new array at a freed one's id
-        seen = [(id(p.value), p.value.tobytes()) for u in self.units for _, p in u.parameters()]
+        seen = [(id(p.value), p.value.tobytes()) for p in parameters]
         hit = seen == self.seen
-        kernel, bias = ad.compose_causal_kernel(
-            [u.composition() for u in self.units], self.lags, values=self.values if hit else None
-        )
+        if hit and not ad.recording():  # nothing to record: the arrays are the result
+            return tuple(ad.as_variable(v) for v in self.values)
+        outputs = composition(self.values if hit else None)
         if not hit:
-            self.values, self.seen = (kernel.value, bias.value), seen
-        return kernel, bias
+            self.values, self.seen = tuple(v.value for v in outputs), seen
+        return outputs
 
 
 class _TcnSubunit:
@@ -235,17 +241,29 @@ class _StBlock:
         self.skip_b = Variable(np.zeros(config.skip_channels))
         self.gcn_theta = Variable(_uniform_fan_in(rng, (c, c), c))
         self.gcn_bias = Variable(np.zeros(c))
-        self.gate = _ComposedCache([self.tcn_a, self.tcn_b])
+        self.lags = self.tcn_a.lags
+        self.gate = _ComposedCache()
 
-    def forward(self, x: Variable, adj: graph.AdjacencyMatrix, gcn: bool = True):
-        """(block output, skip tap); the block output is None when gcn is
-        False, for a final block whose output nothing reads."""
-        kernel, bias = self.gate.compose()
-        gated = ad.gated_tanh_sigmoid(ad.conv_time_causal(x, kernel, self.gate.lags, bias))
+    def gate_parameters(self):
+        return [p for unit in (self.tcn_a, self.tcn_b) for _, p in unit.parameters()]
+
+    def compose_gate(self, values=None):
+        """(kernel, bias) of the one causal convolution both TCN subunits
+        run as, stacked tcn_a over tcn_b."""
+        units = [self.tcn_a.composition(), self.tcn_b.composition()]
+        return ad.compose_causal_kernel(units, self.lags, values=values)
+
+    def forward(self, x: Variable, residual, adj: graph.AdjacencyMatrix, gate, gcn: bool = True):
+        """(block output, skip tap) of the gate convolution gate = (kernel,
+        bias) over x; the block output adds residual to the graph
+        convolution, and is None when gcn is False, for a final block whose
+        output nothing reads."""
+        kernel, bias = gate
+        gated = ad.gated_tanh_sigmoid(ad.conv_time_causal(x, kernel, self.lags, bias))
         skip_tap = ad.conv_1x1(gated, self.skip_w, self.skip_b)
         if not gcn:
             return None, skip_tap
-        block_out = ad.add(graph.gcn_forward(gated, adj, self.gcn_theta, self.gcn_bias), x)
+        block_out = ad.add(graph.gcn_forward(gated, adj, self.gcn_theta, self.gcn_bias), residual)
         return block_out, skip_tap
 
     def parameters(self):
@@ -296,6 +314,7 @@ class Network:
         n_out = len(config.target_nodes)
         self.dense_w = Variable(_uniform_fan_in(rng, (n_out, flat), flat))
         self.dense_b = Variable(np.zeros(n_out))
+        self.head = _ComposedCache()
 
     def adjacency(self) -> graph.AdjacencyMatrix:
         return graph.adjacency_softmax(self.embeddings, self.node_order)
@@ -309,34 +328,73 @@ class Network:
             raise ad.ShapeMismatchError(
                 f"input shape {x.value.shape} does not match config [B,{expect[0]},{expect[1]},{expect[2]}]"
             )
+        # every cached array outlives the forward, so it is composed before
+        # the first activation is allocated
+        gates = self._compose_gates()
+        head_kernel, head_bias = self.head.compose(
+            [self.head2_w, self.head2_b, self.dense_w, self.dense_b], self._compose_head
+        )
         # one name through the head, so that without a tape each activation
         # is freed once the next op has read it
-        out = self._run_blocks(x, final_gcn=False)[1]
+        out = self._run_blocks(x, gates, final_gcn=False)[1]
         out = ad.relu(out)
         out = ad.conv_1x1(out, self.head1_w, self.head1_b)
         out = ad.relu(out)
-        out = ad.conv_1x1(out, self.head2_w, self.head2_b)
-        out = ad.permute(out, BATCH_MAJOR)
-        return ad.dense(ad.flatten(out), self.dense_w, self.dense_b)
+        return ad.dense_time_major(out, head_kernel, head_bias)
 
     def temporal_stack(self, x) -> Variable:
         """Block-stack output [B, C, N, W] before the head; used by the
-        causality / receptive-field probes (the flatten+dense head mixes
-        every timestep by construction)."""
-        h, _ = self._run_blocks(ad.as_variable(x), final_gcn=True)
+        causality / receptive-field probes (the dense head mixes every
+        timestep by construction)."""
+        h, _ = self._run_blocks(ad.as_variable(x), self._compose_gates(), final_gcn=True)
         return ad.permute(h, BATCH_MAJOR)
 
-    def _run_blocks(self, x: Variable, final_gcn: bool):
+    def _compose_gates(self):
+        """(kernel, bias) of each block's gate convolution, each reused from
+        the block's cache while its parameters are unchanged. Block 0's
+        kernel has input_proj folded in (see ``_compose_folded_gate``)."""
+        block0 = self.blocks[0]
+        gates = [block0.gate.compose(
+            block0.gate_parameters() + [self.input_w, self.input_b], self._compose_folded_gate
+        )[:2]]
+        for block in self.blocks[1:]:
+            gates.append(block.gate.compose(block.gate_parameters(), block.compose_gate))
+        return gates
+
+    def _compose_folded_gate(self, values):
+        """Block 0's gate convolution over the permuted input with one ones
+        channel appended: (kernel [2C, L, D+1], bias), then the unfolded
+        gate kernel [2C, L, C] it is composed from. Both are linear, so
+        this equals input_proj followed by the gate convolution."""
+        folded, bias, kernel = values or (None, None, None)
+        kernel, bias = self.blocks[0].compose_gate(values and (kernel, bias))
+        folded = ad.fold_conv_1x1(kernel, self.input_w, self.input_b, values=folded)
+        return folded, bias, kernel
+
+    def _compose_head(self, values):
+        """(kernel, bias) of head.conv2 -> flatten -> dense as one
+        ``dense_time_major`` contraction."""
+        return ad.compose_head(
+            self.head2_w, self.head2_b, self.dense_w, self.dense_b, self.config.num_nodes,
+            values=values,
+        )
+
+    def _run_blocks(self, x: Variable, gates, final_gcn: bool):
         """(stack output, summed skip taps), both [C, W, B, N], for input x
-        [B, D, N, W]. Only the skip taps feed the head, so the final block's
-        graph convolution runs only when final_gcn asks for the stack
-        output; otherwise that output is None."""
+        [B, D, N, W] and each block's gate (kernel, bias). Only the skip
+        taps feed the head, so the final block's graph convolution runs only
+        when final_gcn asks for the stack output; otherwise that output is
+        None. input_proj runs only for block 0's residual: its gate
+        convolution reads the input itself, with a ones channel."""
         adj = self.adjacency()
-        h = ad.conv_1x1(ad.permute(x, TIME_MAJOR), self.input_w, self.input_b)
-        skip_sum = None
+        x = ad.permute(x, TIME_MAJOR)
         last = len(self.blocks) - 1
-        for i, block in enumerate(self.blocks):
-            h, tap = block.forward(h, adj, gcn=final_gcn or i < last)
+        h = ad.conv_1x1(x, self.input_w, self.input_b) if final_gcn or last else None
+        ones = Variable(np.ones((1,) + x.shape[1:]), requires_grad=False)
+        x = ad.concat_channels([x, ones])
+        skip_sum = None
+        for i, (block, gate) in enumerate(zip(self.blocks, gates)):
+            h, tap = block.forward(x if i == 0 else h, h, adj, gate, gcn=final_gcn or i < last)
             skip_sum = tap if skip_sum is None else ad.add(skip_sum, tap)
         return h, skip_sum
 

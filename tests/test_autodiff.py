@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mswavenet import autodiff as ad
 from mswavenet import graph
 from mswavenet.autodiff import ShapeMismatchError, Variable
+from mswavenet.model import BATCH_MAJOR
 
 import batch_major
 from conftest import finite_difference, rel_err
@@ -320,6 +321,12 @@ def _compose_one_unit(w, b, k1, k2):
     return ad.conv_time_causal(x, kernel, [0, 1, 2, 4], bias)
 
 
+def _compose_and_run_head(conv_w, conv_b, dense_w, dense_b):
+    kernel, bias = ad.compose_head(conv_w, conv_b, dense_w, dense_b, nodes=2)
+    x = np.linspace(-1.0, 1.0, 2 * 4 * 3 * 2).reshape(2, 4, 3, 2)  # [C, W, B, N]
+    return ad.dense_time_major(x, kernel, bias)
+
+
 _OPERAND_OPS = {
     "multiply": (ad.multiply, [(3, 4), (3, 4)]),
     "matmul": (ad.matmul, [(3, 4), (4, 2)]),
@@ -334,6 +341,9 @@ _OPERAND_OPS = {
     "conv_time_causal_unsorted": (
         lambda x, k, b: ad.conv_time_causal(x, k, [3, 0, 1], b), [(2, 5, 1, 2), (3, 3, 2), (3,)]
     ),
+    "fold_conv_1x1": (ad.fold_conv_1x1, [(3, 2, 4), (4, 2), (4,)]),
+    "compose_head": (_compose_and_run_head, [(3, 2), (3,), (2, 3 * 2 * 4), (2,)]),
+    "dense_time_major": (ad.dense_time_major, [(3, 4, 2, 2), (3, 4, 5, 2), (5,)]),
 }
 
 
@@ -356,6 +366,199 @@ class TestBackwardReadsOperandsAsRecorded:
             return [v.grad.tobytes() for v in operands]
 
         assert gradients(edit=True) == gradients(edit=False)
+
+
+_CONSTANT_OPERAND_OPS = {
+    name: _OPERAND_OPS[name]
+    for name in ("conv_1x1", "conv_time_causal", "conv_time_causal_unsorted", "dense_time_major")
+}
+_CONSTANT_OPERAND_OPS["concat_channels"] = (
+    lambda a, b: ad.concat_channels([a, b]), [(2, 3, 1, 2), (1, 3, 1, 2)]
+)
+
+
+class TestConstantOperandsGetNoGradient:
+    """An op computes no gradient for an operand with requires_grad=False,
+    and the other operands' gradients are bitwise those of a run in which
+    it takes one."""
+
+    @pytest.mark.parametrize(
+        "op, constant",
+        [(op, i) for op, (_, shapes) in _CONSTANT_OPERAND_OPS.items() for i in range(len(shapes))],
+    )
+    def test_constant_operand(self, op, constant, rng):
+        fn, shapes = _CONSTANT_OPERAND_OPS[op]
+        values = [rng.normal(size=shape) for shape in shapes]
+
+        def gradients(frozen):
+            operands = [Variable(v, requires_grad=i != frozen) for i, v in enumerate(values)]
+            out = fn(*operands)
+            ad.backward(ad.mse_loss(out, np.linspace(-1.0, 1.0, out.value.size).reshape(out.shape)))
+            return [None if v.grad is None else v.grad.tobytes() for v in operands]
+
+        frozen, free = gradients(constant), gradients(None)
+        assert frozen[constant] is None
+        assert frozen[:constant] + frozen[constant + 1 :] == free[:constant] + free[constant + 1 :]
+
+
+FD_TOL = 1e-6
+
+
+def _weighted_sum(out, weights):
+    """A scalar of out whose gradient is the non-uniform weights."""
+    return ad.total(ad.multiply(out, Variable(weights, requires_grad=False)))
+
+
+def _fd_errors(loss_of, values):
+    """Largest relative error of each operand's analytic gradient of the
+    scalar loss_of(*operands) against central finite differences."""
+    operands = [Variable(v) for v in values]
+    ad.backward(loss_of(*operands))
+    errors = []
+    for i, (v, operand) in enumerate(zip(values, operands)):
+
+        def scalar(w, i=i):
+            args = [Variable(u) for u in values]
+            args[i] = Variable(w)
+            return float(loss_of(*args).value)
+
+        errors.append(rel_err(operand.grad, finite_difference(scalar, v)))
+    return errors
+
+
+_tiny = st.integers(1, 3)
+
+
+@st.composite
+def _lag_sets(draw, window):
+    """Distinct lags, possibly without 0 and reaching past the window."""
+    return sorted(draw(st.sets(st.integers(0, window + 2), min_size=1, max_size=4)))
+
+
+@st.composite
+def _fold_cases(draw):
+    """(Co, C, Ci, W, B, N), lags and a data seed on tiny shapes."""
+    dims = (draw(_tiny), draw(_tiny), draw(_tiny), draw(st.integers(1, 6)),
+            draw(st.integers(1, 2)), draw(_tiny))
+    return dims, draw(_lag_sets(dims[3])), draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _head_cases(draw):
+    """(C, A, O, W, B, N) and a data seed on tiny shapes."""
+    dims = (draw(_tiny), draw(_tiny), draw(_tiny), draw(st.integers(1, 6)),
+            draw(st.integers(1, 2)), draw(_tiny))
+    return dims, draw(st.integers(0, 2**32 - 1))
+
+
+def _ones_channel(x):
+    return ad.concat_channels([x, Variable(np.ones((1,) + x.shape[1:]), requires_grad=False)])
+
+
+class TestFoldedOpProperties:
+    """Finite-difference and equivalence properties, in float64 on tiny
+    shapes, of the ops that fold the network's linear ends: the input
+    fold, the head's composition and contraction, and conv_time_causal
+    over random lag sets."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_fold_cases())
+    def test_conv_time_causal_matches_finite_differences(self, case):
+        (co, ci, _, w, b, n), lags, seed = case
+        rng = np.random.default_rng(seed)
+        up = rng.normal(size=(co, w, b, n))
+        values = [rng.normal(size=(ci, w, b, n)), rng.normal(size=(co, len(lags), ci)),
+                  rng.normal(size=co)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # lags past the window
+            errors = _fd_errors(lambda x, k, bias: _weighted_sum(
+                ad.conv_time_causal(x, k, lags, bias), up), values)
+        assert max(errors) < FD_TOL, errors
+
+    @settings(max_examples=40, deadline=None)
+    @given(_fold_cases())
+    def test_input_fold_matches_finite_differences(self, case):
+        (co, c, ci, w, b, n), lags, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(ci, w, b, n))
+        up = rng.normal(size=(co, w, b, n))
+        values = [rng.normal(size=(co, len(lags), c)), rng.normal(size=(c, ci)), rng.normal(size=c)]
+
+        def loss(k, weight, bias):
+            folded = ad.fold_conv_1x1(k, weight, bias)
+            return _weighted_sum(ad.conv_time_causal(_ones_channel(Variable(x)), folded, lags), up)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            errors = _fd_errors(loss, values)
+        assert max(errors) < FD_TOL, errors
+
+    @settings(max_examples=40, deadline=None)
+    @given(_fold_cases())
+    def test_input_fold_equals_conv_1x1_then_causal_conv(self, case):
+        """Over the input with a ones channel, the folded kernel gives the
+        output and every gradient of the two ops it replaces within 1e-12."""
+        (co, c, ci, w, b, n), lags, seed = case
+        rng = np.random.default_rng(seed)
+        values = [rng.normal(size=(ci, w, b, n)), rng.normal(size=(co, len(lags), c)),
+                  rng.normal(size=(c, ci)), rng.normal(size=c), rng.normal(size=co)]
+        up = rng.normal(size=(co, w, b, n))
+        results = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for folded in (True, False):
+                x, k, weight, bias, conv_b = (Variable(v) for v in values)
+                if folded:
+                    out = ad.conv_time_causal(
+                        _ones_channel(x), ad.fold_conv_1x1(k, weight, bias), lags, conv_b
+                    )
+                else:
+                    out = ad.conv_time_causal(ad.conv_1x1(x, weight, bias), k, lags, conv_b)
+                ad.backward(_weighted_sum(out, up))
+                results.append([out.value] + [v.grad for v in (x, k, weight, bias, conv_b)])
+        for got, want in zip(*results):
+            assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_head_cases())
+    def test_head_matches_finite_differences(self, case):
+        (c, a, o, w, b, n), seed = case
+        rng = np.random.default_rng(seed)
+        up = rng.normal(size=(b, o))
+        values = [rng.normal(size=(c, w, b, n)), rng.normal(size=(a, c)), rng.normal(size=a),
+                  rng.normal(size=(o, a * n * w)), rng.normal(size=o)]
+
+        def loss(x, conv_w, conv_b, dense_w, dense_b):
+            kernel, bias = ad.compose_head(conv_w, conv_b, dense_w, dense_b, n)
+            return _weighted_sum(ad.dense_time_major(x, kernel, bias), up)
+
+        errors = _fd_errors(loss, values)
+        assert max(errors) < FD_TOL, errors
+
+    @settings(max_examples=40, deadline=None)
+    @given(_head_cases())
+    def test_head_equals_conv_1x1_flatten_dense(self, case):
+        """The composed contraction gives the forecasts and every gradient
+        of conv_1x1 -> permute -> flatten -> dense within 1e-12."""
+        (c, a, o, w, b, n), seed = case
+        rng = np.random.default_rng(seed)
+        values = [rng.normal(size=(c, w, b, n)), rng.normal(size=(a, c)), rng.normal(size=a),
+                  rng.normal(size=(o, a * n * w)), rng.normal(size=o)]
+        up = rng.normal(size=(b, o))
+        results = []
+        for composed in (True, False):
+            operands = [Variable(v) for v in values]
+            x, conv_w, conv_b, dense_w, dense_b = operands
+            if composed:
+                kernel, bias = ad.compose_head(conv_w, conv_b, dense_w, dense_b, n)
+                out = ad.dense_time_major(x, kernel, bias)
+            else:
+                y = ad.permute(ad.conv_1x1(x, conv_w, conv_b), BATCH_MAJOR)
+                out = ad.dense(ad.flatten(y), dense_w, dense_b)
+            ad.backward(_weighted_sum(out, up))
+            results.append([out.value] + [v.grad for v in operands])
+        for got, want in zip(*results):
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestSoftmaxRows:

@@ -18,7 +18,6 @@ from mswavenet.model import (
     ConfigError,
     ModelConfig,
     Network,
-    _ComposedCache,
     _TcnSubunit,
     receptive_field,
 )
@@ -173,7 +172,7 @@ class TestReceptiveField:
 
 def _tcn(unit, x):
     """One TCN subunit's output: its composed kernel as a causal convolution."""
-    kernel, bias = _ComposedCache([unit]).compose()
+    kernel, bias = ad.compose_causal_kernel([unit.composition()], unit.lags)
     return ad.conv_time_causal(x, kernel, unit.lags, bias)
 
 
@@ -297,7 +296,7 @@ class TestNetworkForward:
         block.gcn_theta.value[:] = 0.0
         block.gcn_bias.value[:] = 0.0
         h = Variable(rng.normal(size=(4, 16, 2, 3)), requires_grad=False)  # [C, W, B, N]
-        out, _tap = block.forward(h, net.adjacency())
+        out, _tap = block.forward(h, h, net.adjacency(), block.compose_gate())
         np.testing.assert_array_equal(out.value, h.value)
 
 
@@ -315,6 +314,23 @@ class TestGradientCoverage:
                 assert p.grad is None or not np.any(p.grad), name
             else:
                 assert p.grad is not None and np.any(p.grad != 0), name
+
+    @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
+    def test_a_constant_input_gets_no_gradient(self, variant, rng):
+        """Data takes no gradient: none is computed for it, and every
+        parameter gradient is bitwise that of an input that takes one."""
+        net = _perturbed(variant, rng)
+        x = rng.normal(size=(2, 4, 5, 48))
+        target = rng.normal(size=(2, 3))
+
+        def gradients(x_in):
+            net.zero_grad()
+            ad.backward(ad.mse_loss(net.forward(x_in), target))
+            return {n: None if p.grad is None else p.grad.tobytes() for n, p in net.parameters()}
+
+        constant, variable = Variable(x, requires_grad=False), Variable(x)
+        assert gradients(constant) == gradients(variable)
+        assert constant.grad is None and np.any(variable.grad != 0)
 
     def test_dead_set_names_final_block_gcn(self, rng):
         net = Network(small_config(num_blocks=3), seed=0)
@@ -498,6 +514,12 @@ def _fresh_copy(net):
     return ref
 
 
+def _stored(net):
+    """Every array the network's caches hold: each block's gate kernels
+    (block 0's with input_proj folded in) and the head's."""
+    return [v for cache in [b.gate for b in net.blocks] + [net.head] for v in cache.values]
+
+
 def _forecast(net, x, record):
     if record:
         return net.forward(x).value
@@ -534,6 +556,18 @@ def _replace_variable(net, x):
     unit.reduce_b = Variable(unit.reduce_b.value + 0.01)
 
 
+def _edit_input_proj(net, x):
+    net.input_w.value[2, 1] += 0.01
+
+
+def _assign_head_conv2_bias(net, x):
+    net.head2_b.value = net.head2_b.value + 0.01
+
+
+def _edit_dense_weight(net, x):
+    net.dense_w.value[1, 7] += 0.5
+
+
 _CHANGES = {
     "adam": _adam_step,
     "load_state_dict": _load_state_dict,
@@ -541,14 +575,17 @@ _CHANGES = {
     "edit_branch_kernel": _edit_branch_kernel,
     "edit_reduce_bias": _edit_reduce_bias,
     "replace_variable": _replace_variable,
+    "edit_input_proj": _edit_input_proj,
+    "assign_head_conv2_bias": _assign_head_conv2_bias,
+    "edit_dense_weight": _edit_dense_weight,
 }
 
 
 class TestBackwardReadsOperandsAsRecorded:
     @pytest.mark.parametrize(
         "name",
-        ["head.conv1.weight", "head.dense.weight", "block0.gcn.theta", "block0.skip.weight",
-         "block0.tcn_a.branch0.kernel", "adjacency.e1"],
+        ["head.conv1.weight", "head.conv2.weight", "head.dense.weight", "block0.gcn.theta",
+         "block0.skip.weight", "block0.tcn_a.branch0.kernel", "input_proj.weight", "adjacency.e1"],
     )
     def test_assigning_a_parameter_before_backward_changes_no_gradient(self, name, rng):
         x = rng.normal(size=(2, 4, 3, 16))
@@ -575,7 +612,8 @@ _TINY = dict(
 
 class TestComposedCache:
     """Each block keeps the gate kernel its parameters were last composed
-    into; a forward on the same bits reuses it, any change composes again."""
+    into (block 0's with input_proj folded in), and the network the head's;
+    a forward on the same bits reuses them, any change composes again."""
 
     @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
     @pytest.mark.parametrize("batch", [1, 8])
@@ -584,10 +622,11 @@ class TestComposedCache:
         net = _perturbed(variant, rng)
         x = rng.normal(size=(batch, 4, 5, 48))
         ref = _forecast(_fresh_copy(net), x, record)
-        for _ in range(3):  # a miss, then hits
+        assert _forecast(net, x, record).tobytes() == ref.tobytes()  # a miss
+        stored = _stored(net)
+        for _ in range(2):  # hits: nothing is composed again
             assert _forecast(net, x, record).tobytes() == ref.tobytes()
-            kernels = [b.gate.values[0] for b in net.blocks]
-            assert all(b.gate.compose()[0].value is k for b, k in zip(net.blocks, kernels))
+            assert all(a is b for a, b in zip(_stored(net), stored, strict=True))
 
     @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
     def test_gradients_bitwise_equal_over_adam_steps(self, variant, rng):
@@ -630,15 +669,17 @@ class TestComposedCache:
         record=st.booleans(),
     )
     def test_forecasts_follow_any_sequence_of_changes(self, variant, changes, record):
-        """After each change to a gate parameter, a forecast on tiny shapes
-        equals, bit for bit, that of a fresh Network holding the same state."""
+        """After each change to a parameter that a cache composes from, a
+        forecast on tiny shapes equals, bit for bit, that of a fresh Network
+        holding the same state."""
         branches = [[(2, 1), (3, 1)]] * 2 if variant == MULTI_SCALE else [[(2, 1)], [(2, 2)]]
         net = Network(ModelConfig(variant=variant, branch_specs=branches, **_TINY), seed=1)
-        gate = [name for name, _ in net.parameters() if ".tcn_" in name]
+        folded = ("input_proj.", "head.conv2.", "head.dense.")
+        composed = [n for n, _ in net.parameters() if ".tcn_" in n or n.startswith(folded)]
         x = np.random.default_rng(0).normal(size=(2, 4, 2, 6))
         opt = AdamOptimizer(net.parameters(), lr=0.05)
         for kind, pick, delta in changes:
-            name = gate[pick % len(gate)]
+            name = composed[pick % len(composed)]
             p = dict(net.parameters())[name]
             if kind == "adam":
                 net.zero_grad()
@@ -663,15 +704,17 @@ class TestComposedCache:
         gc.collect()
         assert alive() is None
 
-    def test_recorded_backward_outlives_a_refresh(self, rng):
+    @pytest.mark.parametrize(
+        "name", ["block0.tcn_a.branch0.kernel", "input_proj.weight", "head.dense.weight"]
+    )
+    def test_recorded_backward_outlives_a_refresh(self, name, rng):
         """A forward recorded on a hit, then a forecast whose miss composes
-        the gate kernel again: the first loss's backward still reads the
-        kernel of its own forward."""
+        the cached kernels again: the first loss's backward still reads the
+        kernels of its own forward."""
         net = _perturbed(MULTI_SCALE, rng)
         x = rng.normal(size=(2, 4, 5, 48))
         target = rng.normal(size=(2, 3))
-        gate = net.blocks[0].gate
-        kern = net.blocks[0].tcn_a.kernels[0][1]
+        param = dict(net.parameters())[name]
 
         def input_grad(between):
             xv = Variable(x)
@@ -681,10 +724,10 @@ class TestComposedCache:
             return xv.grad
 
         def refresh():
-            stored = gate.values[0].copy()
-            kern.value = kern.value + 0.01
+            stored = [v.copy() for v in _stored(net)]
+            param.value = param.value + 0.01
             _forecast(net, x, record=False)
-            assert not np.array_equal(gate.values[0], stored)
+            assert any(not np.array_equal(a, b) for a, b in zip(_stored(net), stored))
 
         _forecast(net, x, record=False)  # store the kernels, so the next forward hits
         want = input_grad(lambda: None)
