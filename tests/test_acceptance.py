@@ -5,8 +5,6 @@ Criterion 6 exercises the real-data protocol and only runs when
 MSWAVENET_DENMARK_DIR points at station CSVs in the documented schema.
 """
 
-import ctypes
-import glob
 import multiprocessing
 import os
 import tempfile
@@ -340,24 +338,19 @@ def _train_on_planted_graph(seed):
     return model_mse, persistence_mse, recovery
 
 
-def _one_blas_thread():
-    """Give this process one OpenBLAS thread, so that two forked workers do
-    not oversubscribe two cores with spinning BLAS threads (which made
-    criterion 5 twice as slow as a serial run). numpy's OpenBLAS reads its
-    thread count only when it loads, so it is set through its C API; where
-    that library is not found, this does nothing."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                getattr(lib, name)(1)
-                return
+def _one_core_each():
+    """Worker set-up: one OpenBLAS thread and one autodiff lane, so that
+    two workers take one core each. With the default two BLAS threads each,
+    they spun on each other's cores and criterion 5 took twice as long as a
+    serial run; a second lane each would put four busy threads on two
+    cores in the same way."""
+    ad.blas_threads(1)
+    ad._two_lanes = lambda size: False
 
 
 def test_criterion_5_synthetic_end_to_end():
     """The three seeds are independent runs: they train in at most two
-    forked processes of one BLAS thread each, and are reported in seed
+    forked processes that take one core each, and are reported in seed
     order."""
     beats = []
     recoveries = {}
@@ -365,7 +358,7 @@ def test_criterion_5_synthetic_end_to_end():
     with ProcessPoolExecutor(
         min(2, os.cpu_count() or 1),
         mp_context=multiprocessing.get_context("fork"),
-        initializer=_one_blas_thread,
+        initializer=_one_core_each,
     ) as pool:
         runs = list(pool.map(_train_on_planted_graph, seeds))
     for seed, (model_mse, persistence_mse, recovery) in zip(seeds, runs):

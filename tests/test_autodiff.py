@@ -1,5 +1,9 @@
+import multiprocessing
 import re
+import threading
+import time
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -559,6 +563,103 @@ class TestFoldedOpProperties:
             results.append([out.value] + [v.grad for v in operands])
         for got, want in zip(*results):
             assert np.abs(got - want).max() <= 1e-12
+
+
+def _paper_conv():
+    """A paper-size causal convolution (block 1's gate, B=64): its output
+    and the gradients of its three operands."""
+    rng = np.random.default_rng(0)
+    lags = [0, 1, 2, 3, 4, 6, 9, 12, 15]
+    x, k, b = (Variable(rng.normal(size=shape))
+               for shape in ((32, 48, 64, 5), (64, len(lags), 32), (64,)))
+    out = ad.conv_time_causal(x, k, lags, b)
+    ad.backward(_weighted_sum(out, rng.normal(size=out.shape)))
+    return [out.value, x.grad, k.grad, b.grad]
+
+
+class TestTwoLanes:
+    """The ops that run their independent halves on two lanes give bitwise
+    the one-lane results, wait for both lanes, and work in a forked child."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fold_cases(), _tiny, st.integers(1, 8), st.booleans())
+    def test_every_split_is_bitwise_one_lane(self, case, o, block_cols, x_grad):
+        """With the lane decision forced, a chain of every op that splits
+        (causal convolution, gate, 1x1 convolution, time-major dense) runs
+        each of them on two lanes, and its output and every gradient are
+        those of one lane, bit for bit."""
+        (co, c, ci, w, b, n), lags, seed = case
+        rng = np.random.default_rng(seed)
+        values = [rng.normal(size=shape) for shape in (
+            (ci, w, b, n), (2 * co, len(lags), ci), (2 * co,), (c, co), (c,), (c, w, o, n), (o,))]
+        up = rng.normal(size=(b, o))
+        blocks = -(-w // max(1, block_cols // (b * n)))
+        results, splits = [], []
+        both = ad._both
+
+        def recorded(first, second, two):
+            splits[-1] += two
+            both(first, second, two)
+
+        with mock.patch.object(ad, "_BLOCK_COLS", block_cols), mock.patch.object(ad, "_both", recorded), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # lags past the window
+            for two in (False, True):
+                splits.append(0)
+                x = Variable(values[0], requires_grad=x_grad)
+                params = [Variable(v) for v in values[1:]]
+                conv_k, conv_b, w1, b1, dense_k, dense_b = params
+                with mock.patch.object(ad, "_two_lanes", lambda size: two):
+                    z = ad.conv_time_causal(x, conv_k, lags, conv_b)
+                    y = ad.conv_1x1(ad.gated_tanh_sigmoid(z), w1, b1)
+                    out = ad.dense_time_major(y, dense_k, dense_b)
+                    ad.backward(_weighted_sum(out, up))
+                grads = [v.grad for v in params] + ([x.grad] if x_grad else [])
+                results.append([out.value.tobytes()] + [g.tobytes() for g in grads])
+        assert results[0] == results[1]
+        # gate forward and backward, conv_1x1 and dense backward, and the
+        # causal convolution's forward over several blocks and backward to x
+        assert splits == [0, 4 + (blocks > 1) + x_grad]
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_an_exception_waits_for_both_lanes(self, failing):
+        """The exception of either lane reaches the caller only once the
+        other lane has finished."""
+        finished = threading.Event()
+
+        def slow():
+            time.sleep(0.2)
+            finished.set()
+
+        def fail():
+            raise RuntimeError(f"{failing} lane")
+
+        first, second = (fail, slow) if failing == "first" else (slow, fail)
+        with pytest.raises(RuntimeError, match=f"{failing} lane"):
+            ad._both(first, second, True)
+        assert finished.is_set()
+
+    def test_the_worker_keeps_no_array_alive(self):
+        """Once a two-lane op has returned, the worker holds nothing of it:
+        an idle worker that kept its last task would keep that op's arrays
+        alive and grow the heap."""
+        z = Variable(np.ones((4, 3, 2, 2)), requires_grad=False)
+        with mock.patch.object(ad, "_two_lanes", lambda size: True):
+            out = ad.gated_tanh_sigmoid(z)  # the sigmoid half reads z on the worker
+        freed = weakref.ref(z.value)
+        del z, out
+        assert freed() is None
+
+    def test_forked_child_starts_its_own_lane(self):
+        """A child forked after a two-lane op runs the same op to the same
+        bits; a child that inherited the parent's worker would hang, and the
+        timeout fails the test instead."""
+        with mock.patch.object(ad, "_two_lanes", lambda size: True):
+            want = _paper_conv()
+            assert ad._lane is not None
+            with multiprocessing.get_context("fork").Pool(1) as pool:  # terminated on exit
+                got = pool.apply_async(_paper_conv).get(timeout=60)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestSoftmaxRows:

@@ -1,15 +1,21 @@
 """Guards the names the benchmark's tracer patches in the package."""
 
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mswavenet import autodiff, data, graph, model, pipeline, synthetic, training
 from mswavenet.data import MinMaxScaler, make_windows
 from mswavenet.model import SINGLE_SCALE, ModelConfig, Network
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+RUN = ROOT / "perfbench" / "run.py"
 MODULES = (autodiff, data, graph, model, pipeline, synthetic, training)
 CLASSES = [
     value for module in MODULES for value in vars(module).values()
@@ -17,12 +23,16 @@ CLASSES = [
 ]
 
 
-def _tracing():
-    """perfbench/tracing.py, compiled from its source text, so no bytecode
+def _module(path, name):
+    """A perfbench module, compiled from its source text, so no bytecode
     cache is written beside it."""
-    tracing = types.ModuleType("perfbench_tracing")
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), tracing.__dict__)
-    return tracing
+    module = types.ModuleType(name)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def _tracing():
+    return _module(TRACING, "perfbench_tracing")
 
 
 def _owner_name(owner):
@@ -121,3 +131,22 @@ def test_evaluate_is_captured_once(tmp_path):
     assert metrics.mse == float(((pred - dataset.targets) ** 2).mean())
     names = {span[0] for span in tracer.spans}
     assert {"model.forward", "training.checkpoint_load"} <= names
+
+
+def _lanes(run, threads):
+    """Lanes a large op takes in a fresh process whose BLAS environment is
+    pinned as perfbench/run.py (module run) pins it, to this many threads."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update({var: str(threads) for var in run.BLAS_ENV})
+    code = "from mswavenet import autodiff as ad; print(1 + ad._two_lanes(ad._LANE_MIN))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return int(out.stdout)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="two lanes need at least 2 CPUs")
+def test_the_benchmark_runs_two_lanes():
+    """perfbench/run.py pins BLAS to one thread, so on 2 CPUs a paper-size
+    op takes two lanes; with two BLAS threads it keeps one."""
+    run = _module(RUN, "perfbench_run")
+    assert _lanes(run, run.BLAS_THREADS) == 2
+    assert _lanes(run, 2) == 1

@@ -743,6 +743,55 @@ class TestConsumedTape:
         assert peaks[1] <= 1.15 * peaks[0], peaks
 
 
+SIZES = {
+    "paper": {},
+    "criterion_5": dict(residual_channels=16, skip_channels=32, head_channels=(32, 16), window=16,
+                        horizon=1, target_nodes=[0, 1, 2, 3, 4]),
+}
+
+
+@pytest.fixture
+def one_blas_thread():
+    """One OpenBLAS thread during the test, as the benchmark runs."""
+    before = ad.blas_threads()
+    ad.blas_threads(1)
+    yield
+    if before is not None:
+        ad.blas_threads(before)
+
+
+class TestTwoLanes:
+    @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
+    @pytest.mark.parametrize("size", list(SIZES))
+    def test_bitwise_one_lane(self, tmp_path, monkeypatch, one_blas_thread, size, variant):
+        """Forcing the lane decision either way changes no bit of the
+        forward, of any parameter or input gradient at B=64, or of the
+        checkpoint of a 3-step train()."""
+        config = ModelConfig(variant=variant, **SIZES[size])
+        rng = np.random.default_rng(0)
+        x_val = rng.normal(size=(64, 4, 5, config.window))
+        t_val = rng.normal(size=(64, len(config.target_nodes)))
+        lead = config.window + config.horizon - 1
+        raw = rng.uniform(0, 20, size=(3 * 64 + 64 + 2 * lead, 4, 5))
+        scaler = MinMaxScaler.fit(raw)
+        train_ds, val_ds = (
+            make_windows(scaler.apply(part), part, config.window, config.horizon, config.target_nodes)
+            for part in (raw[: 3 * 64 + lead], raw[3 * 64 + lead :])
+        )
+        results = []
+        for two in (False, True):
+            monkeypatch.setattr(ad, "_two_lanes", lambda size: two)
+            net = Network(config, seed=3)
+            x = Variable(x_val)
+            out = net.forward(x)
+            ad.backward(ad.mse_loss(out, t_val))
+            grads = [None if p.grad is None else p.grad.tobytes() for _, p in net.parameters()]
+            path = tmp_path / f"{two}.bin"
+            train(Network(config, seed=3), train_ds, val_ds, scaler, path, epochs=1, batch_size=64, seed=1)
+            results.append([out.value.tobytes(), x.grad.tobytes(), grads, path.read_bytes()])
+        assert results[0] == results[1]
+
+
 class TestMallocPolicy:
     def test_set_once_per_process(self, monkeypatch):
         calls = []
