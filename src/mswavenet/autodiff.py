@@ -55,18 +55,17 @@ parameter values, to record the same gradient path without composing.
 ``flatten`` and ``dense`` are kept as the reference the head's contraction
 is tested against.
 
-Two lanes: a large op runs two independent halves at once, one in the
-caller and one on a single worker thread. ``conv_time_causal`` runs its
-time blocks in two runs, with one scratch buffer each, and computes its
-kernel gradient beside its input gradient. ``gated_tanh_sigmoid`` runs its
-tanh half beside its sigmoid half, forward and backward. The backwards of
-``conv_1x1`` and ``dense_time_major`` compute their weight gradients beside
-the input gradient. An op takes two lanes only while recording, when its
-activation holds at least ``_LANE_MIN`` elements, the process may run on 2
-CPUs, and numpy's OpenBLAS runs one thread (``blas_threads``). Each half writes only
-into arrays the caller allocated, and every element is computed by the
-same numpy call with one lane or two, so the results are bitwise the same.
-A forked child starts its own worker.
+Batch halves: ``batch_halves`` runs a function of a batch, such as a
+network's forward, as one recorded op. While a tape is recorded and the
+batch is large (``_LANE_MIN``), it runs rows [:B//2] and rows [B//2:]
+apart, each half with its own leaf copies of the Variables it reads, which
+share their arrays. Its backward walks each half's tape and adds the two
+gradients of each Variable, half 0 first. The split depends only on
+shapes. The two halves run at once, one in the caller and one on a single
+worker thread, when the process may run on 2 CPUs and numpy's OpenBLAS
+runs one thread (``blas_threads``), and one after the other otherwise.
+They share no array they write, so the lane count changes no bit. A forked
+child starts its own worker.
 """
 
 from __future__ import annotations
@@ -196,8 +195,19 @@ def backward(loss: Variable) -> None:
             "a parameter (was it built under no_grad(), or has backward already "
             "consumed its tape?)"
         )
-    nodes = GradientTape(loss).nodes
-    loss.grad = np.ones_like(loss.value)
+    _walk(loss, np.ones_like(loss.value))
+
+
+def _walk(root, grad, leaves=None):
+    """Run the backward of every node of root's tape, seeded with grad at
+    root, consuming the tape. leaves, when given, are the ids of the only
+    leaves with requires_grad that the tape may reach."""
+    nodes = GradientTape(root).nodes
+    if leaves is not None and any(
+        not node.parents and node.requires_grad and id(node) not in leaves for node in nodes
+    ):
+        raise RuntimeError("a batch half read a Variable with requires_grad that it was not given")
+    root.grad = grad
     while nodes:
         node = nodes.pop()
         if node._backward is not None and node.grad is not None:
@@ -340,11 +350,12 @@ def matmul(a, b) -> Variable:
 
 
 # ---------------------------------------------------------------------------
-# two lanes: an op's two independent halves, on the caller and one worker
+# batch halves: the two halves of a large batch, on the caller and one worker
 
 
-_LANE_MIN = 1 << 19  # elements of an op's activation before it takes two lanes (swept in CHANGES.md)
+_LANE_MIN = 1 << 19  # elements of a batch's gate activation before it runs in halves (swept in CHANGES.md)
 _lane = None  # the task queue of the second lane's worker thread, started on first use
+_halving = False  # whether batch_halves is running its halves, which never split again
 
 
 def _fresh_lane():
@@ -364,7 +375,7 @@ def _lane_worker(tasks):
             outcome = None
         except BaseException as error:  # raised again in the caller
             outcome = error
-        del task  # the op's arrays are the caller's to free once it has the reply
+        del task  # the halves' arrays are the caller's to free once it has the reply
         reply.put(outcome)
 
 
@@ -398,43 +409,89 @@ def blas_threads(count=None):
     return get()
 
 
-def _two_lanes(size) -> bool:
-    """Whether an op over an activation of size elements runs on two lanes:
-    a large one does while recording, when this process may run on at least
-    2 CPUs while numpy's BLAS runs one thread, so that the second lane takes
-    a core no BLAS thread spins on. A forward under ``no_grad`` keeps one
-    lane: two-lane forecasts made the batch-1 forecasts that followed them
-    slower."""
+def _second_lane() -> bool:
+    """Whether the second half of a batch runs on the worker thread beside
+    the first: when this process may run on at least 2 CPUs while numpy's
+    BLAS runs one thread, so that the worker takes a core no BLAS thread
+    spins on."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return (_recording and size >= _LANE_MIN and affinity is not None
-            and len(affinity(0)) >= 2 and blas_threads() == 1)
+    return affinity is not None and len(affinity(0)) >= 2 and blas_threads() == 1
 
 
-def _both(first, second, two: bool):
-    """Run first() and second(), which write only into disjoint arrays the
-    caller allocated; a half that is None does nothing. With two, second
-    runs on the worker thread while first runs here (numpy releases the GIL
-    in its GEMMs and ufuncs), and this returns once both have finished, also
-    when either raises; first's exception wins. Otherwise they run here in
-    turn. Each array element is written by the same numpy call either way,
-    so the results are bitwise the same."""
-    if not two:
-        for half in (first, second):
-            if half is not None:
-                half()
-        return
-    global _lane
-    if _lane is None:
-        _lane = queue.SimpleQueue()
-        threading.Thread(target=_lane_worker, args=(_lane,), name="autodiff-lane", daemon=True).start()
-    reply = queue.SimpleQueue()
-    _lane.put((second, reply))
+def _each_half(task):
+    """task(0) and task(1), which share no array they write. With the
+    second lane (``_second_lane``), task(1) runs on the worker thread while
+    task(0) runs here (numpy releases the GIL in its GEMMs and ufuncs), and
+    this returns once both have finished, also when either raises; half 0's
+    exception wins. Otherwise they run here in turn."""
+    global _lane, _halving
+    _halving = True
     try:
-        first()
+        if not _second_lane():
+            task(0)
+            task(1)
+            return
+        if _lane is None:
+            _lane = queue.SimpleQueue()
+            threading.Thread(target=_lane_worker, args=(_lane,), name="autodiff-lane", daemon=True).start()
+        reply = queue.SimpleQueue()
+        _lane.put((functools.partial(task, 1), reply))
+        try:
+            task(0)
+        finally:
+            error = reply.get()  # the second lane has finished
+        if error is not None:
+            raise error
     finally:
-        error = reply.get()  # the second lane has finished
-    if error is not None:
-        raise error
+        _halving = False
+
+
+def batch_halves(run, x, params: dict, row_size: int) -> Variable:
+    """run(x, params), as one op that runs each half of the batch apart.
+
+    run maps x [B, ...] and params, a dict of Variables, to an output
+    [B, ...] whose row b depends on row b of x alone, and reads no Variable
+    but those. The batch runs whole, as run(x, params), unless a tape is
+    recorded, B >= 2 and B * row_size >= ``_LANE_MIN`` (row_size: the
+    elements one row adds to run's largest activation). Then rows [:B//2]
+    and rows [B//2:] each run with their own leaf copies of x's rows and of
+    params, which share the arrays, and the output is the two halves'
+    outputs concatenated. The backward walks each half's tape and adds each
+    copy's gradient into its Variable, half 0 first; x gets its halves'
+    gradients concatenated. The halves run at once on two lanes
+    (``_each_half``), and whether they do changes no bit.
+    """
+    x = as_variable(x)
+    B = x.value.shape[0]
+    if _halving or B < 2 or B * row_size < _LANE_MIN or not _records((x, *params.values())):
+        return run(x, params)
+    rows = (slice(B // 2), slice(B // 2, None))
+    halves = [
+        (Variable(x.value[r], requires_grad=x.requires_grad),
+         {name: Variable(p.value, requires_grad=p.requires_grad) for name, p in params.items()})
+        for r in rows
+    ]
+    outs = [None, None]
+
+    def forward(i):
+        outs[i] = run(*halves[i])
+
+    _each_half(forward)
+
+    def backward_fn(g):
+        def walk(i):
+            x_half, copies = halves[i]
+            _walk(outs[i], g[rows[i]], leaves={id(x_half), *map(id, copies.values())})
+
+        _each_half(walk)
+        for name, p in params.items():
+            for _, copies in halves:
+                if copies[name].grad is not None:
+                    p.accumulate_grad(copies[name].grad)
+        if halves[0][0].grad is not None:
+            x.accumulate_grad(np.concatenate([x_half.grad for x_half, _ in halves]))
+
+    return Variable(np.concatenate([out.value for out in outs]), (x, *params.values()), backward_fn)
 
 
 _BLOCK_COLS = 1024  # steps x B*N columns per GEMM of conv_time_causal (swept in CHANGES.md)
@@ -509,32 +566,20 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
     out_val = np.empty((Co, W, B, N))
     out2 = out_val.reshape(Co, -1)
     tc = max(1, _BLOCK_COLS // max(S, 1))
-    starts = range(0, W, tc)
-    reach = [bisect.bisect_right(steps, min(t0 + tc, W) - 1) for t0 in starts]  # taps per block
-
-    def convolve(blocks, scratch):  # these blocks, and their bias
-        for t0, j in zip(starts[blocks], reach[blocks]):
-            n = min(tc, W - t0)
-            cols = scratch[: j * Ci * n * S].reshape(j * Ci, n * S)
-            for i, lag in enumerate(steps[:j]):
-                pad = max(lag - t0, 0) * S
-                rows = cols[i * Ci : (i + 1) * Ci]
-                rows[:, :pad] = 0.0
-                rows[:, pad:] = x2[:, (t0 - lag) * S + pad : (t0 + n - lag) * S]
-            # a view of a C-ordered kernel; with j = 0 the empty product is zero
-            np.matmul(w.reshape(Co, -1)[:, : j * Ci], cols, out=out2[:, t0 * S : (t0 + n) * S])
-        if bias is not None and starts[blocks]:
-            cols = slice(starts[blocks][0] * S, min(starts[blocks][-1] + tc, W) * S)
-            out2[:, cols] += bias.value[:, None]
-
-    two = len(starts) > 1 and _two_lanes(out_val.size)
-    scratch = np.empty((1 + two, L * Ci * min(tc, W) * S))  # one per lane
-    mid = len(starts)
-    if two:  # the blocks in two runs of nearly equal work, taps x steps
-        work = np.cumsum([j * min(tc, W - t0) for t0, j in zip(starts, reach)])
-        mid = int(np.argmin(np.abs(2 * work[:-1] - work[-1]))) + 1
-    _both(lambda: convolve(slice(mid), scratch[0]),
-          lambda: convolve(slice(mid, None), scratch[-1]), two)
+    scratch = np.empty(L * Ci * min(tc, W) * S)
+    for t0 in range(0, W, tc):
+        n = min(tc, W - t0)
+        j = bisect.bisect_right(steps, t0 + n - 1)  # the taps that reach this block
+        cols = scratch[: j * Ci * n * S].reshape(j * Ci, n * S)
+        for i, lag in enumerate(steps[:j]):
+            pad = max(lag - t0, 0) * S
+            rows = cols[i * Ci : (i + 1) * Ci]
+            rows[:, :pad] = 0.0
+            rows[:, pad:] = x2[:, (t0 - lag) * S + pad : (t0 + n - lag) * S]
+        # a view of a C-ordered kernel; with j = 0 the empty product is zero
+        np.matmul(w.reshape(Co, -1)[:, : j * Ci], cols, out=out2[:, t0 * S : (t0 + n) * S])
+    if bias is not None:
+        out2 += bias.value[:, None]
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     shifts = [(lag * S, i) for i, lag in enumerate(steps) if lag < W]
     need_x, need_k = x.requires_grad, kernel.requires_grad
@@ -542,24 +587,16 @@ def conv_time_causal(x, kernel, lags, bias=None) -> Variable:
 
     def backward_fn(g):
         g2 = g.reshape(Co, -1)
-        gk = np.zeros((Co, L, Ci)) if need_k else None
-        gx = np.empty((Ci, W, B, N)) if need_x else None  # C order, so its reshape is a view
-
-        def kernel_grad():
+        if need_k:
+            gk = np.zeros((Co, L, Ci))
             for s, i in shifts:
                 np.matmul(g2[:, s:], x2[:, : M - s].T, out=gk[:, order[i]])
-
-        def input_grad():
-            _tap_sum(gx.reshape(Ci, -1), [(s, w[:, i].T) for s, i in shifts], g2)
-
-        # the kernel gradient beside the input gradient
-        _both(input_grad if need_x else None, kernel_grad if need_k else None,
-              need_x and need_k and _two_lanes(g.size))
-        if need_k:
             kernel.accumulate_grad(gk)
         if need_b:
             bias.accumulate_grad(g2.sum(axis=1))
         if need_x:
+            gx = np.empty((Ci, W, B, N))  # C order, so its reshape is a view
+            _tap_sum(gx.reshape(Ci, -1), [(s, w[:, i].T) for s, i in shifts], g2)
             x.accumulate_grad(gx)
 
     return Variable(out_val, parents, backward_fn)
@@ -695,34 +732,24 @@ def gated_tanh_sigmoid(z) -> Variable:
     if z.value.ndim < 1 or z.value.shape[0] % 2:
         raise ShapeMismatchError(f"gate input needs an even channel axis, got {z.value.shape}")
     C = z.value.shape[0] // 2
-    filt, gate = np.empty_like(z.value[:C]), np.empty_like(z.value[C:])
-
-    def sigmoid_half():
-        np.negative(z.value[C:], out=gate)
-        np.exp(gate, out=gate)
-        np.add(gate, 1.0, out=gate)
-        np.reciprocal(gate, out=gate)
-
-    _both(lambda: np.tanh(z.value[:C], out=filt), sigmoid_half, _two_lanes(z.value.size))
+    filt = np.tanh(z.value[:C])
+    gate = np.negative(z.value[C:])
+    np.exp(gate, out=gate)
+    gate += 1.0
+    np.reciprocal(gate, out=gate)
     out_val = filt * gate
 
     def backward_fn(g):
         # each half written in place into a fresh gz
         gz = np.empty_like(z.value)
         g_filt, g_gate = gz[:C], gz[C:]
-
-        def tanh_half():
-            np.multiply(filt, filt, out=g_filt)
-            np.subtract(1.0, g_filt, out=g_filt)
-            np.multiply(g_filt, gate, out=g_filt)
-            np.multiply(g_filt, g, out=g_filt)
-
-        def sigmoid_half():
-            np.subtract(1.0, gate, out=g_gate)
-            np.multiply(g_gate, out_val, out=g_gate)
-            np.multiply(g_gate, g, out=g_gate)
-
-        _both(tanh_half, sigmoid_half, _two_lanes(gz.size))
+        np.multiply(filt, filt, out=g_filt)
+        np.subtract(1.0, g_filt, out=g_filt)
+        g_filt *= gate
+        g_filt *= g
+        np.subtract(1.0, gate, out=g_gate)
+        g_gate *= out_val
+        g_gate *= g
         z.accumulate_grad(gz)
 
     return Variable(out_val, (z,), backward_fn)
@@ -747,28 +774,12 @@ def conv_1x1(x, weight, bias) -> Variable:
 
     def backward_fn(g):
         g2 = g.reshape(Co, -1)
-        gw = np.empty(w.shape) if need_w else None
-        gb = np.empty(Co) if need_b else None
-        gx = np.empty(shape) if need_x else None
-
-        def input_grad():
-            np.matmul(w.T, g2, out=gx.reshape(shape[0], -1))
-
-        def parameter_grads():
-            if need_w:
-                np.matmul(g2, x2.T, out=gw)
-            if need_b:
-                np.sum(g2, axis=1, out=gb)
-
-        # the weight and bias gradients beside the input gradient
-        _both(input_grad if need_x else None, parameter_grads,
-              need_x and (need_w or need_b) and _two_lanes(g.size))
         if need_w:
-            weight.accumulate_grad(gw)
+            weight.accumulate_grad(g2 @ x2.T)
         if need_b:
-            bias.accumulate_grad(gb)
+            bias.accumulate_grad(g2.sum(axis=1))
         if need_x:
-            x.accumulate_grad(gx)
+            x.accumulate_grad((w.T @ g2).reshape(shape))
 
     return Variable(out2.reshape((Co,) + shape[1:]), (x, weight, bias), backward_fn)
 
@@ -944,24 +955,12 @@ def dense_time_major(x, kernel, bias) -> Variable:
         diag = np.arange(N)
         spread[:, diag, :, diag] = g
         spread = spread.reshape(B * N, O * N)
-        gk = np.empty((C * W, O * N)) if need_k else None
-        gx = np.empty((C * W, B * N)) if need_x else None
-
-        def kernel_grad():
-            np.matmul(x2, spread, out=gk)
-
-        def input_grad():
-            np.matmul(k2, spread.T, out=gx)
-
-        # the kernel gradient beside the input gradient
-        _both(input_grad if need_x else None, kernel_grad if need_k else None,
-              need_x and need_k and _two_lanes(x2.size))
         if need_k:
-            kernel.accumulate_grad(gk.reshape(C, W, O, N))
+            kernel.accumulate_grad((x2 @ spread).reshape(C, W, O, N))
         if need_b:
             bias.accumulate_grad(g.sum(axis=0))
         if need_x:
-            x.accumulate_grad(gx.reshape(C, W, B, N))
+            x.accumulate_grad((k2 @ spread.T).reshape(C, W, B, N))
 
     return Variable(out_val, (x, kernel, bias), backward_fn)
 

@@ -57,6 +57,9 @@ _POSITIVE_INTS = (
     "num_blocks", "residual_channels", "skip_channels", "embedding_width",
     "window", "horizon", "num_nodes", "num_features",
 )
+# the paper's branch_specs are built with one entry per block when a config
+# is checked, so a config from outside the program cannot ask for 10**12
+MAX_BLOCKS = 1024
 
 
 def _positive_pair(value) -> bool:
@@ -97,6 +100,8 @@ class ModelConfig:
             value = getattr(self, name)
             if not int_at_least(value, 1):
                 raise ConfigError(f"must be a positive int, got {value!r}", name)
+        if self.num_blocks > MAX_BLOCKS:
+            raise ConfigError(f"must be at most {MAX_BLOCKS}, got {self.num_blocks}", "num_blocks")
         if not _positive_pair(self.head_channels):
             raise ConfigError(f"must be two positive ints, got {self.head_channels!r}",
                               "head_channels")
@@ -253,17 +258,29 @@ class _StBlock:
         units = [self.tcn_a.composition(), self.tcn_b.composition()]
         return ad.compose_causal_kernel(units, self.lags, values=values)
 
-    def forward(self, x: Variable, residual, adj: graph.AdjacencyMatrix, gate, gcn: bool = True):
-        """(block output, skip tap) of the gate convolution gate = (kernel,
-        bias) over x; the block output adds residual to the graph
-        convolution, and is None when gcn is False, for a final block whose
-        output nothing reads."""
-        kernel, bias = gate
-        gated = ad.gated_tanh_sigmoid(ad.conv_time_causal(x, kernel, self.lags, bias))
-        skip_tap = ad.conv_1x1(gated, self.skip_w, self.skip_b)
+    def weights(self, gate):
+        """The Variables this block's activations read, by name: the gate
+        convolution's gate = (kernel, bias), then skip and gcn."""
+        p = self.prefix
+        return {
+            f"{p}.gate.kernel": gate[0], f"{p}.gate.bias": gate[1],
+            f"{p}.skip.weight": self.skip_w, f"{p}.skip.bias": self.skip_b,
+            f"{p}.gcn.theta": self.gcn_theta, f"{p}.gcn.bias": self.gcn_bias,
+        }
+
+    def forward(self, x: Variable, residual, adj: graph.AdjacencyMatrix, w, gcn: bool = True):
+        """(block output, skip tap) of the gate convolution over x, with the
+        Variables w (see ``weights``); the block output adds residual to the
+        graph convolution, and is None when gcn is False, for a final block
+        whose output nothing reads."""
+        p = self.prefix
+        gated = ad.gated_tanh_sigmoid(
+            ad.conv_time_causal(x, w[f"{p}.gate.kernel"], self.lags, w[f"{p}.gate.bias"])
+        )
+        skip_tap = ad.conv_1x1(gated, w[f"{p}.skip.weight"], w[f"{p}.skip.bias"])
         if not gcn:
             return None, skip_tap
-        block_out = ad.add(graph.gcn_forward(gated, adj, self.gcn_theta, self.gcn_bias), residual)
+        block_out = ad.add(graph.gcn_forward(gated, adj, w[f"{p}.gcn.theta"], w[f"{p}.gcn.bias"]), residual)
         return block_out, skip_tap
 
     def parameters(self):
@@ -320,7 +337,8 @@ class Network:
         return graph.adjacency_softmax(self.embeddings, self.node_order)
 
     def forward(self, x) -> Variable:
-        """x: [B, D, N, W] -> forecasts [B, n_target_nodes]."""
+        """x: [B, D, N, W] -> forecasts [B, n_target_nodes]. While a tape is
+        recorded, a large batch runs in two halves (``ad.batch_halves``)."""
         x = ad.as_variable(x)
         cfg = self.config
         expect = (cfg.num_features, cfg.num_nodes, cfg.window)
@@ -328,26 +346,44 @@ class Network:
             raise ad.ShapeMismatchError(
                 f"input shape {x.value.shape} does not match config [B,{expect[0]},{expect[1]},{expect[2]}]"
             )
-        # every cached array outlives the forward, so it is composed before
-        # the first activation is allocated
-        gates = self._compose_gates()
-        head_kernel, head_bias = self.head.compose(
-            [self.head2_w, self.head2_b, self.dense_w, self.dense_b], self._compose_head
-        )
-        # one name through the head, so that without a tape each activation
-        # is freed once the next op has read it
-        out = self._run_blocks(x, gates, final_gcn=False)[1]
-        out = ad.relu(out)
-        out = ad.conv_1x1(out, self.head1_w, self.head1_b)
-        out = ad.relu(out)
-        return ad.dense_time_major(out, head_kernel, head_bias)
+        gate_row = 2 * cfg.residual_channels * cfg.window * cfg.num_nodes
+        return ad.batch_halves(self._forecast, x, self._weights(), gate_row)
 
     def temporal_stack(self, x) -> Variable:
         """Block-stack output [B, C, N, W] before the head; used by the
         causality / receptive-field probes (the dense head mixes every
         timestep by construction)."""
-        h, _ = self._run_blocks(ad.as_variable(x), self._compose_gates(), final_gcn=True)
+        h, _ = self._run_blocks(ad.as_variable(x), self._weights(), final_gcn=True)
         return ad.permute(h, BATCH_MAJOR)
+
+    def _weights(self):
+        """The Variables the activations read, by name: the adjacency,
+        input_proj, each block's (see ``_StBlock.weights``), head.conv1 and
+        the head's contraction. Every cached array outlives the forward, so
+        each composition runs here, before the first activation is
+        allocated."""
+        gates = self._compose_gates()
+        head_kernel, head_bias = self.head.compose(
+            [self.head2_w, self.head2_b, self.dense_w, self.dense_b], self._compose_head
+        )
+        w = {"adjacency": self.adjacency().values,
+             "input_proj.weight": self.input_w, "input_proj.bias": self.input_b}
+        for block, gate in zip(self.blocks, gates):
+            w.update(block.weights(gate))
+        w.update({"head.conv1.weight": self.head1_w, "head.conv1.bias": self.head1_b,
+                  "head.kernel": head_kernel, "head.bias": head_bias})
+        return w
+
+    def _forecast(self, x: Variable, w) -> Variable:
+        """Forecasts [B, n_target_nodes] of input x [B, D, N, W] with the
+        Variables w (see ``_weights``)."""
+        # one name through the head, so that without a tape each activation
+        # is freed once the next op has read it
+        out = self._run_blocks(x, w, final_gcn=False)[1]
+        out = ad.relu(out)
+        out = ad.conv_1x1(out, w["head.conv1.weight"], w["head.conv1.bias"])
+        out = ad.relu(out)
+        return ad.dense_time_major(out, w["head.kernel"], w["head.bias"])
 
     def _compose_gates(self):
         """(kernel, bias) of each block's gate convolution, each reused from
@@ -379,22 +415,22 @@ class Network:
             values=values,
         )
 
-    def _run_blocks(self, x: Variable, gates, final_gcn: bool):
+    def _run_blocks(self, x: Variable, w, final_gcn: bool):
         """(stack output, summed skip taps), both [C, W, B, N], for input x
-        [B, D, N, W] and each block's gate (kernel, bias). Only the skip
+        [B, D, N, W] and the Variables w (see ``_weights``). Only the skip
         taps feed the head, so the final block's graph convolution runs only
         when final_gcn asks for the stack output; otherwise that output is
         None. input_proj runs only for block 0's residual: its gate
         convolution reads the input itself, with a ones channel."""
-        adj = self.adjacency()
+        adj = graph.AdjacencyMatrix(w["adjacency"], self.node_order)
         x = ad.permute(x, TIME_MAJOR)
         last = len(self.blocks) - 1
-        h = ad.conv_1x1(x, self.input_w, self.input_b) if final_gcn or last else None
+        h = ad.conv_1x1(x, w["input_proj.weight"], w["input_proj.bias"]) if final_gcn or last else None
         ones = Variable(np.ones((1,) + x.shape[1:]), requires_grad=False)
         x = ad.concat_channels([x, ones])
         skip_sum = None
-        for i, (block, gate) in enumerate(zip(self.blocks, gates)):
-            h, tap = block.forward(x if i == 0 else h, h, adj, gate, gcn=final_gcn or i < last)
+        for i, block in enumerate(self.blocks):
+            h, tap = block.forward(x if i == 0 else h, h, adj, w, gcn=final_gcn or i < last)
             skip_sum = tap if skip_sum is None else ad.add(skip_sum, tap)
         return h, skip_sum
 

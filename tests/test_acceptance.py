@@ -345,7 +345,7 @@ def _one_core_each():
     serial run; a second lane each would put four busy threads on two
     cores in the same way."""
     ad.blas_threads(1)
-    ad._two_lanes = lambda size: False
+    ad._second_lane = lambda: False
 
 
 def test_criterion_5_synthetic_end_to_end():

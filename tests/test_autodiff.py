@@ -565,101 +565,100 @@ class TestFoldedOpProperties:
             assert np.abs(got - want).max() <= 1e-12
 
 
-def _paper_conv():
-    """A paper-size causal convolution (block 1's gate, B=64): its output
-    and the gradients of its three operands."""
-    rng = np.random.default_rng(0)
-    lags = [0, 1, 2, 3, 4, 6, 9, 12, 15]
-    x, k, b = (Variable(rng.normal(size=shape))
-               for shape in ((32, 48, 64, 5), (64, len(lags), 32), (64,)))
-    out = ad.conv_time_causal(x, k, lags, b)
-    ad.backward(_weighted_sum(out, rng.normal(size=out.shape)))
-    return [out.value, x.grad, k.grad, b.grad]
+def _rows_run(x, params):
+    """A batch_halves run whose row b depends on row b of x alone."""
+    return ad.relu(ad.add(ad.matmul(x, params["w"]), params["b"]))
 
 
-class TestTwoLanes:
-    """The ops that run their independent halves on two lanes give bitwise
-    the one-lane results, wait for both lanes, and work in a forked child."""
+def _halves(x_val, w_val, b_val):
+    """A batch_halves op over x_val split in two, on two lanes: its output
+    and the gradients of x and both params."""
+    x, w, b = Variable(x_val), Variable(w_val), Variable(b_val)
+    with mock.patch.object(ad, "_LANE_MIN", 0), mock.patch.object(ad, "_second_lane", lambda: True):
+        out = ad.batch_halves(_rows_run, x, {"w": w, "b": b}, 1)
+        ad.backward(_weighted_sum(out, np.arange(out.value.size).reshape(out.shape)))
+    return [out.value, x.grad, w.grad, b.grad]
 
-    @settings(max_examples=60, deadline=None)
-    @given(_fold_cases(), _tiny, st.integers(1, 8), st.booleans())
-    def test_every_split_is_bitwise_one_lane(self, case, o, block_cols, x_grad):
-        """With the lane decision forced, a chain of every op that splits
-        (causal convolution, gate, 1x1 convolution, time-major dense) runs
-        each of them on two lanes, and its output and every gradient are
-        those of one lane, bit for bit."""
-        (co, c, ci, w, b, n), lags, seed = case
-        rng = np.random.default_rng(seed)
-        values = [rng.normal(size=shape) for shape in (
-            (ci, w, b, n), (2 * co, len(lags), ci), (2 * co,), (c, co), (c,), (c, w, o, n), (o,))]
-        up = rng.normal(size=(b, o))
-        blocks = -(-w // max(1, block_cols // (b * n)))
-        results, splits = [], []
-        both = ad._both
 
-        def recorded(first, second, two):
-            splits[-1] += two
-            both(first, second, two)
+class TestBatchHalves:
+    """The halves op's two lanes: they wait for each other, keep nothing
+    alive, start afresh in a forked child, and a half reads only its
+    copies. Its results are tested on the network in test_model.py."""
 
-        with mock.patch.object(ad, "_BLOCK_COLS", block_cols), mock.patch.object(ad, "_both", recorded), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # lags past the window
-            for two in (False, True):
-                splits.append(0)
-                x = Variable(values[0], requires_grad=x_grad)
-                params = [Variable(v) for v in values[1:]]
-                conv_k, conv_b, w1, b1, dense_k, dense_b = params
-                with mock.patch.object(ad, "_two_lanes", lambda size: two):
-                    z = ad.conv_time_causal(x, conv_k, lags, conv_b)
-                    y = ad.conv_1x1(ad.gated_tanh_sigmoid(z), w1, b1)
-                    out = ad.dense_time_major(y, dense_k, dense_b)
-                    ad.backward(_weighted_sum(out, up))
-                grads = [v.grad for v in params] + ([x.grad] if x_grad else [])
-                results.append([out.value.tobytes()] + [g.tobytes() for g in grads])
-        assert results[0] == results[1]
-        # gate forward and backward, conv_1x1 and dense backward, and the
-        # causal convolution's forward over several blocks and backward to x
-        assert splits == [0, 4 + (blocks > 1) + x_grad]
-
-    @pytest.mark.parametrize("failing", ["first", "second"])
-    def test_an_exception_waits_for_both_lanes(self, failing):
-        """The exception of either lane reaches the caller only once the
-        other lane has finished."""
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_exception_waits_for_both_halves(self, failing):
+        """The exception of either half reaches the caller only once the
+        other half has finished."""
         finished = threading.Event()
 
-        def slow():
+        def run(x, params):
+            if x.value[0, 0] == failing:
+                raise RuntimeError(f"half {failing}")
             time.sleep(0.2)
             finished.set()
+            return x
 
-        def fail():
-            raise RuntimeError(f"{failing} lane")
-
-        first, second = (fail, slow) if failing == "first" else (slow, fail)
-        with pytest.raises(RuntimeError, match=f"{failing} lane"):
-            ad._both(first, second, True)
+        x = Variable(np.array([[0.0], [1.0]]))
+        with mock.patch.object(ad, "_LANE_MIN", 0), mock.patch.object(ad, "_second_lane", lambda: True):
+            with pytest.raises(RuntimeError, match=f"half {failing}"):
+                ad.batch_halves(run, x, {}, 1)
         assert finished.is_set()
+        assert not ad._halving
+
+    def test_a_half_never_splits_again(self):
+        """A batch_halves call inside a half runs its rows whole: a half on
+        the worker that waited for the worker would wait forever."""
+        rows = []
+
+        def inner(x, params):
+            rows.append(x.value.shape[0])
+            return _rows_run(x, params)
+
+        def run(x, params):
+            ad.batch_halves(inner, x, params, 1)
+            return _rows_run(x, params)
+
+        rng = np.random.default_rng(0)
+        params = {"w": Variable(rng.normal(size=(3, 2))), "b": Variable(rng.normal(size=2))}
+        with mock.patch.object(ad, "_LANE_MIN", 0), mock.patch.object(ad, "_second_lane", lambda: False):
+            ad.batch_halves(run, Variable(rng.normal(size=(4, 3))), params, 1)
+        assert rows == [2, 2]
 
     def test_the_worker_keeps_no_array_alive(self):
-        """Once a two-lane op has returned, the worker holds nothing of it:
-        an idle worker that kept its last task would keep that op's arrays
-        alive and grow the heap."""
-        z = Variable(np.ones((4, 3, 2, 2)), requires_grad=False)
-        with mock.patch.object(ad, "_two_lanes", lambda size: True):
-            out = ad.gated_tanh_sigmoid(z)  # the sigmoid half reads z on the worker
-        freed = weakref.ref(z.value)
-        del z, out
+        """Once a halves op's forward and backward have returned, the worker
+        holds nothing of them: an idle worker that kept its last task would
+        keep the batch's arrays alive and grow the heap."""
+        x = Variable(np.ones((4, 3)))
+        params = {"w": Variable(np.ones((3, 2))), "b": Variable(np.zeros(2))}
+        with mock.patch.object(ad, "_LANE_MIN", 0), mock.patch.object(ad, "_second_lane", lambda: True):
+            ad.backward(_weighted_sum(ad.batch_halves(_rows_run, x, params, 1), np.ones((4, 2))))
+        freed = weakref.ref(x.value)
+        del x, params
         assert freed() is None
 
     def test_forked_child_starts_its_own_lane(self):
-        """A child forked after a two-lane op runs the same op to the same
-        bits; a child that inherited the parent's worker would hang, and the
-        timeout fails the test instead."""
-        with mock.patch.object(ad, "_two_lanes", lambda size: True):
-            want = _paper_conv()
-            assert ad._lane is not None
-            with multiprocessing.get_context("fork").Pool(1) as pool:  # terminated on exit
-                got = pool.apply_async(_paper_conv).get(timeout=60)
+        """A child forked after a two-lane halves op runs the same op to
+        the same bits; a child that inherited the parent's worker would
+        hang, and the timeout fails the test instead."""
+        rng = np.random.default_rng(0)
+        values = (rng.normal(size=(64, 300)), rng.normal(size=(300, 40)), rng.normal(size=40))
+        want = _halves(*values)
+        assert ad._lane is not None
+        with multiprocessing.get_context("fork").Pool(1) as pool:  # terminated on exit
+            got = pool.apply_async(_halves, values).get(timeout=60)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_a_half_reads_only_its_copies(self):
+        """A run that reads a Variable with requires_grad it was not given
+        would add into that Variable's gradient from both lanes at once; the
+        backward refuses it."""
+        stray = Variable(np.ones(2))
+        x = Variable(np.ones((4, 3)))
+        params = {"w": Variable(np.ones((3, 2))), "b": Variable(np.zeros(2))}
+        with mock.patch.object(ad, "_LANE_MIN", 0):
+            out = ad.batch_halves(lambda x, p: ad.add(_rows_run(x, p), stray), x, params, 1)
+            with pytest.raises(RuntimeError, match="not given"):
+                ad.backward(_weighted_sum(out, np.ones((4, 2))))
 
 
 class TestSoftmaxRows:

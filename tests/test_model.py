@@ -1,6 +1,9 @@
 import contextlib
 import gc
+import sys
+import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from mswavenet import graph
 from mswavenet.autodiff import ShapeMismatchError, Variable
 from mswavenet.model import (
     BATCH_MAJOR,
+    MAX_BLOCKS,
     MULTI_SCALE,
     SINGLE_SCALE,
     TIME_MAJOR,
@@ -56,6 +60,14 @@ class TestModelConfig:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             ModelConfig(variant="triple_scale", num_blocks=4)
+
+    def test_block_count_is_bounded(self):
+        """The paper's branch list has one entry per block, so a block count
+        from a config file is rejected before that list is built: 10**12
+        blocks would exhaust memory instead of raising."""
+        with pytest.raises(ConfigError, match="num_blocks"):
+            ModelConfig(num_blocks=10**12)
+        assert len(ModelConfig(num_blocks=MAX_BLOCKS).branch_specs) == MAX_BLOCKS
 
     def test_one_config_error_type(self):
         from mswavenet import config
@@ -296,7 +308,7 @@ class TestNetworkForward:
         block.gcn_theta.value[:] = 0.0
         block.gcn_bias.value[:] = 0.0
         h = Variable(rng.normal(size=(4, 16, 2, 3)), requires_grad=False)  # [C, W, B, N]
-        out, _tap = block.forward(h, h, net.adjacency(), block.compose_gate())
+        out, _tap = block.forward(h, h, net.adjacency(), block.weights(block.compose_gate()))
         np.testing.assert_array_equal(out.value, h.value)
 
 
@@ -496,6 +508,95 @@ class TestTimeMajorEquivalence:
         net = Network(small_config(residual_channels=5), seed=0)
         x = rng.normal(size=(2, 4, 3, 16))
         assert net.temporal_stack(x).value.shape == (2, 5, 3, 16)
+
+
+@st.composite
+def _tiny_networks(draw):
+    """(config, seed, batch) of a tiny network and an odd or even batch."""
+    variant = draw(st.sampled_from([MULTI_SCALE, SINGLE_SCALE]))
+    blocks = draw(st.integers(1, 2))
+    branches = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)),
+                        min_size=1 if variant == SINGLE_SCALE else 2,
+                        max_size=1 if variant == SINGLE_SCALE else 3)
+    nodes = draw(st.integers(1, 3))
+    config = ModelConfig(
+        variant=variant, num_blocks=blocks, residual_channels=draw(st.integers(1, 3)),
+        skip_channels=draw(st.integers(1, 2)), head_channels=(draw(st.integers(1, 2)), draw(st.integers(1, 2))),
+        branch_specs=[draw(branches) for _ in range(blocks)],
+        embedding_width=2, window=draw(st.integers(2, 6)), horizon=1, num_nodes=nodes,
+        num_features=draw(st.integers(1, 2)), target_nodes=list(range(draw(st.integers(1, nodes)))),
+    )
+    return config, draw(st.integers(0, 2**16)), draw(st.integers(1, 5))
+
+
+class TestBatchHalves:
+    """A recorded forward of a large batch runs as two halves
+    (``ad.batch_halves``). With ``_LANE_MIN`` at 0 every batch of B >= 2
+    splits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tiny_networks())
+    def test_halves_equal_the_whole_batch(self, case):
+        """One lane and two give the same bits; both are within 1e-12 of
+        the whole batch, forecast and every gradient, the input's included;
+        a batch of one row never splits."""
+        config, seed, batch = case
+        rng = np.random.default_rng(seed)
+        x_val = rng.normal(size=(batch, config.num_features, config.num_nodes, config.window))
+        target = rng.normal(size=(batch, len(config.target_nodes)))
+        state = {n: p.value + 0.1 * rng.normal(size=p.value.shape)
+                 for n, p in Network(config, seed=seed).parameters()}
+        results, splits = [], []
+        each_half = ad._each_half
+
+        def counted(task):
+            splits[-1] += 1
+            each_half(task)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two lanes interleave often
+        try:
+            with warnings.catch_warnings(), mock.patch.object(ad, "_each_half", counted):
+                warnings.simplefilter("ignore", RuntimeWarning)  # lags past the window
+                for lane_min, lanes in ((1 << 62, 1), (0, 1), (0, 2)):
+                    splits.append(0)
+                    net = Network(config, seed=seed)
+                    net.load_state_dict(state)
+                    x = Variable(x_val)
+                    with mock.patch.object(ad, "_LANE_MIN", lane_min), \
+                            mock.patch.object(ad, "_second_lane", lambda: lanes == 2):
+                        pred = net.forward(x)
+                        ad.backward(ad.mse_loss(pred, target))
+                    results.append([pred.value, x.grad] + [p.grad for _, p in net.parameters()])
+        finally:
+            sys.setswitchinterval(interval)
+        assert splits == [0, 2 * (batch > 1), 2 * (batch > 1)]  # a forward and a backward each
+        whole, one, two = results
+        assert [None if a is None else a.tobytes() for a in one] == \
+            [None if a is None else a.tobytes() for a in two]
+        for got, want in zip(one, whole):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.abs(got - want).max() <= 1e-12
+
+    def test_no_grad_and_small_batches_run_whole(self, rng):
+        """No tape, or a paper-size batch below ``_LANE_MIN``, runs whole;
+        a paper-size batch of 64 splits."""
+        net = Network(ModelConfig(), seed=0)
+        splits = []
+        each_half = ad._each_half
+
+        def counted(task):
+            splits.append(task)
+            each_half(task)
+
+        with mock.patch.object(ad, "_each_half", counted):
+            with ad.no_grad():
+                net.forward(rng.normal(size=(64, 4, 5, 48)))
+            net.forward(rng.normal(size=(5, 4, 5, 48)))
+            assert not splits
+            net.forward(rng.normal(size=(64, 4, 5, 48)))
+        assert len(splits) == 1
 
 
 def _perturbed(variant, rng):

@@ -133,20 +133,36 @@ def test_evaluate_is_captured_once(tmp_path):
     assert {"model.forward", "training.checkpoint_load"} <= names
 
 
+_LANES = """
+import numpy as np
+from mswavenet import autodiff as ad
+from mswavenet.model import ModelConfig, Network
+lanes = []
+each_half = ad._each_half
+def counted(task):
+    lanes.append(1 + ad._second_lane())
+    each_half(task)
+ad._each_half = counted
+Network(ModelConfig()).forward(np.zeros((64, 4, 5, 48)))
+print(max(lanes, default=1))
+"""
+
+
 def _lanes(run, threads):
-    """Lanes a large op takes in a fresh process whose BLAS environment is
-    pinned as perfbench/run.py (module run) pins it, to this many threads."""
+    """Lanes a paper-size training batch of 64 takes in a fresh process
+    whose BLAS environment is pinned as perfbench/run.py (module run) pins
+    it, to this many threads."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: str(threads) for var in run.BLAS_ENV})
-    code = "from mswavenet import autodiff as ad; print(1 + ad._two_lanes(ad._LANE_MIN))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", _LANES], env=env, capture_output=True, text=True, check=True)
     return int(out.stdout)
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="two lanes need at least 2 CPUs")
 def test_the_benchmark_runs_two_lanes():
     """perfbench/run.py pins BLAS to one thread, so on 2 CPUs a paper-size
-    op takes two lanes; with two BLAS threads it keeps one."""
+    batch runs its two halves on two lanes; with two BLAS threads the
+    halves take one lane in turn."""
     run = _module(RUN, "perfbench_run")
     assert _lanes(run, run.BLAS_THREADS) == 2
     assert _lanes(run, 2) == 1

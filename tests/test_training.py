@@ -764,9 +764,9 @@ class TestTwoLanes:
     @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
     @pytest.mark.parametrize("size", list(SIZES))
     def test_bitwise_one_lane(self, tmp_path, monkeypatch, one_blas_thread, size, variant):
-        """Forcing the lane decision either way changes no bit of the
-        forward, of any parameter or input gradient at B=64, or of the
-        checkpoint of a 3-step train()."""
+        """Forcing the second lane on or off changes no bit of the forward,
+        of any parameter or input gradient at B=64, or of the checkpoint of
+        a 3-step train(). At paper size the batch runs in two halves."""
         config = ModelConfig(variant=variant, **SIZES[size])
         rng = np.random.default_rng(0)
         x_val = rng.normal(size=(64, 4, 5, config.window))
@@ -780,7 +780,7 @@ class TestTwoLanes:
         )
         results = []
         for two in (False, True):
-            monkeypatch.setattr(ad, "_two_lanes", lambda size: two)
+            monkeypatch.setattr(ad, "_second_lane", lambda: two)
             net = Network(config, seed=3)
             x = Variable(x_val)
             out = net.forward(x)
