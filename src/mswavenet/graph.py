@@ -1,6 +1,7 @@
 """Learnable adjacency construction and the graph convolution unit.
 
-The default adjacency is built from two learnable node-embedding matrices:
+The adjacency is built from two learnable N x width node-embedding
+matrices, the network's ``adjacency.e1`` and ``adjacency.e2`` parameters:
 row-wise softmax of E1 @ E2^T, giving a dense, row-stochastic, generally
 asymmetric N x N matrix.
 """
@@ -15,21 +16,6 @@ from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Variable
 
 
-class NodeEmbeddings:
-    """Two learnable N x C embedding matrices feeding the adjacency."""
-
-    def __init__(self, num_nodes: int, width: int = 10, rng=None, init_scale: float = 0.5):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.num_nodes = num_nodes
-        self.width = width
-        self.e1 = Variable(rng.uniform(-init_scale, init_scale, size=(num_nodes, width)))
-        self.e2 = Variable(rng.uniform(-init_scale, init_scale, size=(num_nodes, width)))
-
-    def parameters(self):
-        return [("adjacency.e1", self.e1), ("adjacency.e2", self.e2)]
-
-
 class AdjacencyMatrix:
     """A materialized N x N adjacency with its node labels."""
 
@@ -38,12 +24,13 @@ class AdjacencyMatrix:
         self.node_order = list(node_order)
 
 
-def adjacency_softmax(emb: NodeEmbeddings, node_order=None) -> AdjacencyMatrix:
-    """Row-stochastic adjacency: softmax_rows(E1 @ E2^T)."""
-    logits = ad.matmul(emb.e1, ad.permute(emb.e2, (1, 0)))
+def adjacency_softmax(e1: Variable, e2: Variable, node_order=None) -> AdjacencyMatrix:
+    """Row-stochastic adjacency of the node embeddings e1, e2 [N, width]:
+    softmax_rows(e1 @ e2^T)."""
+    logits = ad.matmul(e1, ad.permute(e2, (1, 0)))
     values = ad.softmax_rows(logits)
     if node_order is None:
-        node_order = [f"node{i}" for i in range(emb.num_nodes)]
+        node_order = [f"node{i}" for i in range(values.value.shape[0])]
     return AdjacencyMatrix(values, node_order)
 
 

@@ -7,6 +7,12 @@ one forecast per target node. The single-scale variant uses one dilated
 branch per block; the multi-scale variant concatenates several kernel
 size / dilation branches before a 1x1 reduction.
 
+``Network.params`` is the one store of parameters: it maps each checkpoint
+name (``input_proj.weight``, ``adjacency.e1``, ``block0.tcn_a.branch2.kernel``,
+``block0.gcn.theta``, ``head.dense.bias``, ...) to its Variable, in the
+order the values are drawn. ``parameters``, ``state_dict``, the adjacency,
+the compositions and the activations all read it by name.
+
 Every linear chain runs as one operation, composed from its parameters:
 - both gate units of a block run as one causal convolution;
 - block 0's convolution also absorbs the input 1x1 conv: it reads the
@@ -15,12 +21,13 @@ Every linear chain runs as one operation, composed from its parameters:
   0's residual;
 - the head's second 1x1 conv, flatten and dense run as one contraction
   (``autodiff.dense_time_major``).
-A ``_ComposedCache`` owns each composition: it keeps the arrays it last
-composed, by reference, and composes new ones only when a parameter they
-came from has changed bit for bit, so repeated forecasts on unchanged
-parameters compose nothing. ``forward`` composes them all before its first
-activation. Parameters, their names and shapes, and checkpoints are those
-of the unfolded network.
+A ``_ComposedCache`` owns each composition: it holds the names of the
+parameters it composes from and keeps the arrays it last composed, by
+reference. It composes new ones only when a parameter they came from has
+changed bit for bit, so repeated forecasts on unchanged parameters compose
+nothing. ``forward`` composes them all before its first activation.
+Parameters, their names and shapes, and checkpoints are those of the
+unfolded network.
 
 Layout: the network takes [B, D, N, W] and permutes it once to the
 [C, W, B, N] (channel, time, batch, node) layout of the autodiff 4-D ops.
@@ -32,6 +39,7 @@ convolution is a set of plain 2-D GEMMs on views (see ``autodiff``), and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -171,29 +179,33 @@ def _union_lags(branches):
 
 
 class _ComposedCache:
-    """Arrays composed from a list of parameters, kept by reference with
-    the id and bytes of each parameter value they came from.
+    """Arrays composed from the parameters named ``names``, kept by
+    reference with the id and bytes of each parameter value they came from.
 
-    Adam and ``load_state_dict`` replace a parameter's ``.value``, and an
-    in-place edit keeps its identity, so ``compose`` checks both. A miss
+    Adam and ``load_state_dict`` replace a parameter's ``.value``, an
+    in-place edit keeps its identity, and a Variable may be replaced in the
+    store, so ``compose`` looks each name up and checks both. A miss
     composes new arrays and keeps references to them. Nothing writes into
     an array once composed, so a backward recorded on an earlier
     composition still reads that composition's arrays.
     """
 
-    def __init__(self):
+    def __init__(self, names):
+        self.names = tuple(names)  # the parameters it composes from
         self.values = None  # arrays of the last composition
         self.seen = None  # (id, bytes) of each parameter value they came from
 
-    def compose(self, parameters, composition):
+    def compose(self, params, composition):
         """The Variables composition(values) gives, which record their
         composition so that gradients reach the parameters. values are the
-        stored arrays when every parameter value is bit for bit one they
-        were composed from (a hit); otherwise None, and the result is
-        stored. A hit under ``no_grad`` returns the stored arrays as
-        constants without calling composition."""
+        stored arrays when the value of every parameter in params named in
+        ``names`` is bit for bit one they were composed from (a hit);
+        otherwise None, and the result is stored. A hit under ``no_grad``
+        returns the stored arrays as constants without calling
+        composition."""
         # the bytes catch an in-place edit, and a new array at a freed one's id
-        seen = [(id(p.value), p.value.tobytes()) for p in parameters]
+        values = [params[name].value for name in self.names]
+        seen = [(id(v), v.tobytes()) for v in values]
         hit = seen == self.seen
         if hit and not ad.recording():  # nothing to record: the arrays are the result
             return tuple(ad.as_variable(v) for v in self.values)
@@ -203,109 +215,18 @@ class _ComposedCache:
         return outputs
 
 
-class _TcnSubunit:
-    """Parallel dilated causal branches, concatenated and 1x1-reduced.
-
-    The chain is linear, so it runs as a single causal convolution (see
-    ``_ComposedCache``); the parameters stay those of the branches and reduce.
-    """
-
-    def __init__(self, prefix, channels, branches, rng):
-        self.prefix = prefix
-        self.branches = list(branches)
-        self.lags = _union_lags(self.branches)
-        self.kernels = []
-        for i, (k, _d) in enumerate(self.branches):
-            kern = Variable(_uniform_fan_in(rng, (channels, channels, k), channels * k))
-            self.kernels.append((f"{prefix}.branch{i}.kernel", kern))
-        concat_width = channels * len(self.branches)
-        self.reduce_w = Variable(_uniform_fan_in(rng, (channels, concat_width), concat_width))
-        self.reduce_b = Variable(np.zeros(channels))
-
-    def composition(self):
-        """(reduce weight, reduce bias, [(branch kernel, dilation), ...])."""
-        kernels = [(kern, d) for (_name, kern), (_k, d) in zip(self.kernels, self.branches)]
-        return self.reduce_w, self.reduce_b, kernels
-
-    def parameters(self):
-        return self.kernels + [
-            (f"{self.prefix}.reduce.weight", self.reduce_w),
-            (f"{self.prefix}.reduce.bias", self.reduce_b),
-        ]
-
-
-class _StBlock:
-    """Gated TCN followed by a graph convolution, with residual and skip tap."""
-
-    def __init__(self, prefix, config: ModelConfig, branches, rng):
-        c = config.residual_channels
-        self.prefix = prefix
-        self.tcn_a = _TcnSubunit(f"{prefix}.tcn_a", c, branches, rng)
-        self.tcn_b = _TcnSubunit(f"{prefix}.tcn_b", c, branches, rng)
-        self.skip_w = Variable(_uniform_fan_in(rng, (config.skip_channels, c), c))
-        self.skip_b = Variable(np.zeros(config.skip_channels))
-        self.gcn_theta = Variable(_uniform_fan_in(rng, (c, c), c))
-        self.gcn_bias = Variable(np.zeros(c))
-        self.lags = self.tcn_a.lags
-        self.gate = _ComposedCache()
-
-    def gate_parameters(self):
-        return [p for unit in (self.tcn_a, self.tcn_b) for _, p in unit.parameters()]
-
-    def compose_gate(self, values=None):
-        """(kernel, bias) of the one causal convolution both TCN subunits
-        run as, stacked tcn_a over tcn_b."""
-        units = [self.tcn_a.composition(), self.tcn_b.composition()]
-        return ad.compose_causal_kernel(units, self.lags, values=values)
-
-    def weights(self, gate):
-        """The Variables this block's activations read, by name: the gate
-        convolution's gate = (kernel, bias), then skip and gcn."""
-        p = self.prefix
-        return {
-            f"{p}.gate.kernel": gate[0], f"{p}.gate.bias": gate[1],
-            f"{p}.skip.weight": self.skip_w, f"{p}.skip.bias": self.skip_b,
-            f"{p}.gcn.theta": self.gcn_theta, f"{p}.gcn.bias": self.gcn_bias,
-        }
-
-    def forward(self, x: Variable, residual, adj: graph.AdjacencyMatrix, w, gcn: bool = True):
-        """(block output, skip tap) of the gate convolution over x, with the
-        Variables w (see ``weights``); the block output adds residual to the
-        graph convolution, and is None when gcn is False, for a final block
-        whose output nothing reads."""
-        p = self.prefix
-        gated = ad.gated_tanh_sigmoid(
-            ad.conv_time_causal(x, w[f"{p}.gate.kernel"], self.lags, w[f"{p}.gate.bias"])
-        )
-        skip_tap = ad.conv_1x1(gated, w[f"{p}.skip.weight"], w[f"{p}.skip.bias"])
-        if not gcn:
-            return None, skip_tap
-        block_out = ad.add(graph.gcn_forward(gated, adj, w[f"{p}.gcn.theta"], w[f"{p}.gcn.bias"]), residual)
-        return block_out, skip_tap
-
-    def parameters(self):
-        return (
-            self.tcn_a.parameters()
-            + self.tcn_b.parameters()
-            + [
-                (f"{self.prefix}.skip.weight", self.skip_w),
-                (f"{self.prefix}.skip.bias", self.skip_b),
-                (f"{self.prefix}.gcn.theta", self.gcn_theta),
-                (f"{self.prefix}.gcn.bias", self.gcn_bias),
-            ]
-        )
-
-
 class Network:
-    """The assembled forecaster; all blocks share one adjacency."""
+    """The assembled forecaster; all blocks share one adjacency.
+
+    ``params`` maps each checkpoint name to its Variable, in the order
+    ``parameters()`` lists them, which is the order they were drawn in.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0, node_order=None):
         if not int_at_least(seed, 0):
             raise ConfigError(f"must be a non-negative int, got {seed!r}", "seed")
         self.config = config
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        c = config.residual_channels
         if node_order is None:
             node_order = [f"node{i}" for i in range(config.num_nodes)]
         self.node_order = list(node_order)
@@ -313,28 +234,55 @@ class Network:
             raise ConfigError(
                 f"{len(self.node_order)} names for {config.num_nodes} nodes", "node_order"
             )
-        self.input_w = Variable(
-            _uniform_fan_in(rng, (c, config.num_features), config.num_features)
-        )
-        self.input_b = Variable(np.zeros(c))
-        self.embeddings = graph.NodeEmbeddings(config.num_nodes, config.embedding_width, rng)
-        self.blocks = [
-            _StBlock(f"block{i}", config, config.branch_specs[i], rng)
-            for i in range(config.num_blocks)
-        ]
+        rng = np.random.default_rng(seed)
+        c, n = config.residual_channels, config.num_nodes
+        p = self.params = {}
+
+        def linear(name, shape, fan_in, weight="weight"):  # drawn, then a zero bias
+            p[f"{name}.{weight}"] = Variable(_uniform_fan_in(rng, shape, fan_in))
+            p[f"{name}.bias"] = Variable(np.zeros(shape[0]))
+
+        linear("input_proj", (c, config.num_features), config.num_features)
+        for e in ("e1", "e2"):
+            p[f"adjacency.{e}"] = Variable(rng.uniform(-0.5, 0.5, size=(n, config.embedding_width)))
+        for i, branches in enumerate(config.branch_specs):
+            for unit in ("tcn_a", "tcn_b"):  # parallel branches, concatenated and 1x1-reduced
+                for j, (k, _d) in enumerate(branches):
+                    p[f"block{i}.{unit}.branch{j}.kernel"] = Variable(
+                        _uniform_fan_in(rng, (c, c, k), c * k)
+                    )
+                linear(f"block{i}.{unit}.reduce", (c, c * len(branches)), c * len(branches))
+            linear(f"block{i}.skip", (config.skip_channels, c), c)
+            linear(f"block{i}.gcn", (c, c), c, weight="theta")
         h1, h2 = config.head_channels
-        self.head1_w = Variable(_uniform_fan_in(rng, (h1, config.skip_channels), config.skip_channels))
-        self.head1_b = Variable(np.zeros(h1))
-        self.head2_w = Variable(_uniform_fan_in(rng, (h2, h1), h1))
-        self.head2_b = Variable(np.zeros(h2))
-        flat = h2 * config.num_nodes * config.window
-        n_out = len(config.target_nodes)
-        self.dense_w = Variable(_uniform_fan_in(rng, (n_out, flat), flat))
-        self.dense_b = Variable(np.zeros(n_out))
-        self.head = _ComposedCache()
+        linear("head.conv1", (h1, config.skip_channels), config.skip_channels)
+        linear("head.conv2", (h2, h1), h1)
+        flat = h2 * n * config.window
+        linear("head.dense", (len(config.target_nodes), flat), flat)
+
+        self.lags = [_union_lags(branches) for branches in config.branch_specs]
+        # each block's TCN units, by name: (reduce weight, reduce bias,
+        # [(branch kernel, dilation), ...]) for tcn_a, then tcn_b
+        self._units = [
+            [(f"block{i}.{unit}.reduce.weight", f"block{i}.{unit}.reduce.bias",
+              [(f"block{i}.{unit}.branch{j}.kernel", d) for j, (_k, d) in enumerate(branches)])
+             for unit in ("tcn_a", "tcn_b")]
+            for i, branches in enumerate(config.branch_specs)
+        ]
+        # block 0's gate convolution has input_proj folded in
+        self.gates = [
+            _ComposedCache([name for w, b, kernels in units for name in (w, b, *(k for k, _d in kernels))]
+                           + (["input_proj.weight", "input_proj.bias"] if i == 0 else []))
+            for i, units in enumerate(self._units)
+        ]
+        self.head = _ComposedCache(
+            ["head.conv2.weight", "head.conv2.bias", "head.dense.weight", "head.dense.bias"]
+        )
 
     def adjacency(self) -> graph.AdjacencyMatrix:
-        return graph.adjacency_softmax(self.embeddings, self.node_order)
+        return graph.adjacency_softmax(
+            self.params["adjacency.e1"], self.params["adjacency.e2"], self.node_order
+        )
 
     def forward(self, x) -> Variable:
         """x: [B, D, N, W] -> forecasts [B, n_target_nodes]. While a tape is
@@ -358,21 +306,46 @@ class Network:
 
     def _weights(self):
         """The Variables the activations read, by name: the adjacency,
-        input_proj, each block's (see ``_StBlock.weights``), head.conv1 and
-        the head's contraction. Every cached array outlives the forward, so
-        each composition runs here, before the first activation is
-        allocated."""
-        gates = self._compose_gates()
-        head_kernel, head_bias = self.head.compose(
-            [self.head2_w, self.head2_b, self.dense_w, self.dense_b], self._compose_head
-        )
+        input_proj, each block's gate convolution (block{i}.gate.kernel and
+        .bias, see ``_compose_gate``), skip and gcn, head.conv1 and the
+        head's contraction (head.kernel and head.bias). Each composition is
+        reused from its cache while its parameters are unchanged. Every
+        cached array outlives the forward, so each composition runs here,
+        before the first activation is allocated."""
+        p = self.params
+        gates = [cache.compose(p, partial(self._compose_gate, i))[:2]
+                 for i, cache in enumerate(self.gates)]
+        head = self.head.compose(p, lambda values: ad.compose_head(
+            *(p[name] for name in self.head.names), self.config.num_nodes, values=values
+        ))
         w = {"adjacency": self.adjacency().values,
-             "input_proj.weight": self.input_w, "input_proj.bias": self.input_b}
-        for block, gate in zip(self.blocks, gates):
-            w.update(block.weights(gate))
-        w.update({"head.conv1.weight": self.head1_w, "head.conv1.bias": self.head1_b,
-                  "head.kernel": head_kernel, "head.bias": head_bias})
+             "input_proj.weight": p["input_proj.weight"], "input_proj.bias": p["input_proj.bias"]}
+        for i, gate in enumerate(gates):
+            b = f"block{i}"
+            w[f"{b}.gate.kernel"], w[f"{b}.gate.bias"] = gate
+            for name in (f"{b}.skip.weight", f"{b}.skip.bias", f"{b}.gcn.theta", f"{b}.gcn.bias"):
+                w[name] = p[name]
+        w.update({"head.conv1.weight": p["head.conv1.weight"], "head.conv1.bias": p["head.conv1.bias"],
+                  "head.kernel": head[0], "head.bias": head[1]})
         return w
+
+    def _compose_gate(self, i, values):
+        """Block i's gate convolution: its TCN units, tcn_a over tcn_b, as
+        one causal convolution, (kernel [2C, L, C], bias). values: the
+        arrays these parameter values were composed into before.
+
+        Block 0's reads the permuted input with one ones channel appended:
+        (kernel [2C, L, D+1], bias, the unfolded kernel [2C, L, C] it is
+        composed from). Both are linear, so this equals input_proj followed
+        by the gate convolution."""
+        p = self.params
+        units = [(p[w], p[b], [(p[k], d) for k, d in kernels]) for w, b, kernels in self._units[i]]
+        if i:
+            return ad.compose_causal_kernel(units, self.lags[i], values=values)
+        folded, bias, kernel = values or (None, None, None)
+        kernel, bias = ad.compose_causal_kernel(units, self.lags[0], values=values and (kernel, bias))
+        folded = ad.fold_conv_1x1(kernel, p["input_proj.weight"], p["input_proj.bias"], values=folded)
+        return folded, bias, kernel
 
     def _forecast(self, x: Variable, w) -> Variable:
         """Forecasts [B, n_target_nodes] of input x [B, D, N, W] with the
@@ -385,88 +358,52 @@ class Network:
         out = ad.relu(out)
         return ad.dense_time_major(out, w["head.kernel"], w["head.bias"])
 
-    def _compose_gates(self):
-        """(kernel, bias) of each block's gate convolution, each reused from
-        the block's cache while its parameters are unchanged. Block 0's
-        kernel has input_proj folded in (see ``_compose_folded_gate``)."""
-        block0 = self.blocks[0]
-        gates = [block0.gate.compose(
-            block0.gate_parameters() + [self.input_w, self.input_b], self._compose_folded_gate
-        )[:2]]
-        for block in self.blocks[1:]:
-            gates.append(block.gate.compose(block.gate_parameters(), block.compose_gate))
-        return gates
-
-    def _compose_folded_gate(self, values):
-        """Block 0's gate convolution over the permuted input with one ones
-        channel appended: (kernel [2C, L, D+1], bias), then the unfolded
-        gate kernel [2C, L, C] it is composed from. Both are linear, so
-        this equals input_proj followed by the gate convolution."""
-        folded, bias, kernel = values or (None, None, None)
-        kernel, bias = self.blocks[0].compose_gate(values and (kernel, bias))
-        folded = ad.fold_conv_1x1(kernel, self.input_w, self.input_b, values=folded)
-        return folded, bias, kernel
-
-    def _compose_head(self, values):
-        """(kernel, bias) of head.conv2 -> flatten -> dense as one
-        ``dense_time_major`` contraction."""
-        return ad.compose_head(
-            self.head2_w, self.head2_b, self.dense_w, self.dense_b, self.config.num_nodes,
-            values=values,
-        )
-
     def _run_blocks(self, x: Variable, w, final_gcn: bool):
         """(stack output, summed skip taps), both [C, W, B, N], for input x
-        [B, D, N, W] and the Variables w (see ``_weights``). Only the skip
-        taps feed the head, so the final block's graph convolution runs only
-        when final_gcn asks for the stack output; otherwise that output is
-        None. input_proj runs only for block 0's residual: its gate
-        convolution reads the input itself, with a ones channel."""
+        [B, D, N, W] and the Variables w (see ``_weights``). Each block runs
+        its gate convolution, the gate, its skip tap, then the graph
+        convolution plus the residual. Only the skip taps feed the head, so
+        the final block's graph convolution runs only when final_gcn asks
+        for the stack output; otherwise that output is None. input_proj runs
+        only for block 0's residual: its gate convolution reads the input
+        itself, with a ones channel."""
         adj = graph.AdjacencyMatrix(w["adjacency"], self.node_order)
         x = ad.permute(x, TIME_MAJOR)
-        last = len(self.blocks) - 1
+        last = len(self.lags) - 1
         h = ad.conv_1x1(x, w["input_proj.weight"], w["input_proj.bias"]) if final_gcn or last else None
         ones = Variable(np.ones((1,) + x.shape[1:]), requires_grad=False)
         x = ad.concat_channels([x, ones])
         skip_sum = None
-        for i, block in enumerate(self.blocks):
-            h, tap = block.forward(x if i == 0 else h, h, adj, w, gcn=final_gcn or i < last)
+        for i, lags in enumerate(self.lags):
+            b = f"block{i}"
+            gated = ad.gated_tanh_sigmoid(
+                ad.conv_time_causal(x if i == 0 else h, w[f"{b}.gate.kernel"], lags, w[f"{b}.gate.bias"])
+            )
+            tap = ad.conv_1x1(gated, w[f"{b}.skip.weight"], w[f"{b}.skip.bias"])
+            if final_gcn or i < last:
+                h = ad.add(graph.gcn_forward(gated, adj, w[f"{b}.gcn.theta"], w[f"{b}.gcn.bias"]), h)
+            else:
+                h = None
+            del gated  # without a tape, freed before the next activation
             skip_sum = tap if skip_sum is None else ad.add(skip_sum, tap)
         return h, skip_sum
 
     def parameters(self):
         """Ordered (name, Variable) pairs covering every learnable tensor."""
-        params = [
-            ("input_proj.weight", self.input_w),
-            ("input_proj.bias", self.input_b),
-        ]
-        params += self.embeddings.parameters()
-        for block in self.blocks:
-            params += block.parameters()
-        params += [
-            ("head.conv1.weight", self.head1_w),
-            ("head.conv1.bias", self.head1_b),
-            ("head.conv2.weight", self.head2_w),
-            ("head.conv2.bias", self.head2_b),
-            ("head.dense.weight", self.dense_w),
-            ("head.dense.bias", self.dense_b),
-        ]
-        names = [n for n, _ in params]
-        assert len(names) == len(set(names)), "duplicate parameter name"
-        return params
+        return list(self.params.items())
 
     def zero_grad(self):
-        for _, p in self.parameters():
+        for p in self.params.values():
             p.zero_grad()
 
     def state_dict(self) -> dict:
-        return {name: p.value.copy() for name, p in self.parameters()}
+        return {name: p.value.copy() for name, p in self.params.items()}
 
     def load_state_dict(self, state: dict):
         """Copy state's arrays into the parameters. Raises naming a parameter:
         KeyError if missing or unknown, ShapeMismatchError or ValueError if
         misshapen or non-finite."""
-        params = dict(self.parameters())
+        params = self.params
         for name in sorted(params.keys() | state.keys()):
             if name not in state:
                 raise KeyError(f"{name}: missing")

@@ -123,19 +123,25 @@ def gated_tanh_sigmoid(z) -> Variable:
 def forward(net, x) -> Variable:
     """net.forward(x) for x [B, D, N, W], every activation [B, C, N, W]."""
     x = as_variable(x)
+    p = net.params
     adj = net.adjacency()
-    h = conv_1x1(x, net.input_w, net.input_b)
+    h = conv_1x1(x, p["input_proj.weight"], p["input_proj.bias"])
     skip_sum = None
-    last = len(net.blocks) - 1
-    for i, block in enumerate(net.blocks):
-        units = [block.tcn_a, block.tcn_b]
-        lags = units[0].lags
-        kernel, bias = ad.compose_causal_kernel([u.composition() for u in units], lags)
+    last = net.config.num_blocks - 1
+    for i, branches in enumerate(net.config.branch_specs):
+        b = f"block{i}"
+        units = [
+            (p[f"{b}.{unit}.reduce.weight"], p[f"{b}.{unit}.reduce.bias"],
+             [(p[f"{b}.{unit}.branch{j}.kernel"], d) for j, (_k, d) in enumerate(branches)])
+            for unit in ("tcn_a", "tcn_b")
+        ]
+        lags = net.lags[i]
+        kernel, bias = ad.compose_causal_kernel(units, lags)
         gated = gated_tanh_sigmoid(conv_time_causal(h, kernel, lags, bias))
-        tap = conv_1x1(gated, block.skip_w, block.skip_b)
+        tap = conv_1x1(gated, p[f"{b}.skip.weight"], p[f"{b}.skip.bias"])
         if i < last:
-            h = ad.add(gcn_forward(gated, adj, block.gcn_theta, block.gcn_bias), h)
+            h = ad.add(gcn_forward(gated, adj, p[f"{b}.gcn.theta"], p[f"{b}.gcn.bias"]), h)
         skip_sum = tap if skip_sum is None else ad.add(skip_sum, tap)
-    out = conv_1x1(ad.relu(skip_sum), net.head1_w, net.head1_b)
-    out = conv_1x1(ad.relu(out), net.head2_w, net.head2_b)
-    return ad.dense(ad.flatten(out), net.dense_w, net.dense_b)
+    out = conv_1x1(ad.relu(skip_sum), p["head.conv1.weight"], p["head.conv1.bias"])
+    out = conv_1x1(ad.relu(out), p["head.conv2.weight"], p["head.conv2.bias"])
+    return ad.dense(ad.flatten(out), p["head.dense.weight"], p["head.dense.bias"])

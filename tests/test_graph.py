@@ -7,7 +7,6 @@ from mswavenet import autodiff as ad
 from mswavenet.autodiff import ShapeMismatchError, Variable
 from mswavenet.graph import (
     AdjacencyMatrix,
-    NodeEmbeddings,
     adjacency_softmax,
     export_adjacency,
     gcn_forward,
@@ -17,45 +16,47 @@ import batch_major
 
 
 def embeddings_from(e1, e2):
-    emb = NodeEmbeddings(e1.shape[0], e1.shape[1])
-    emb.e1 = Variable(np.asarray(e1, dtype=np.float64))
-    emb.e2 = Variable(np.asarray(e2, dtype=np.float64))
-    return emb
+    """(e1, e2) as the Variables adjacency_softmax takes."""
+    return Variable(np.asarray(e1, dtype=np.float64)), Variable(np.asarray(e2, dtype=np.float64))
+
+
+def random_embeddings(num_nodes, width, rng):
+    """Two [num_nodes, width] embeddings drawn as a Network draws them."""
+    return tuple(Variable(rng.uniform(-0.5, 0.5, size=(num_nodes, width))) for _ in range(2))
 
 
 class TestAdjacencySoftmax:
     def test_zero_embeddings_uniform(self):
-        adj = adjacency_softmax(embeddings_from(np.zeros((4, 3)), np.zeros((4, 3))))
+        adj = adjacency_softmax(*embeddings_from(np.zeros((4, 3)), np.zeros((4, 3))))
         np.testing.assert_allclose(adj.values.value, np.full((4, 4), 0.25))
 
     def test_rows_stochastic(self, rng):
-        emb = NodeEmbeddings(5, 10, rng)
-        adj = adjacency_softmax(emb)
+        adj = adjacency_softmax(*random_embeddings(5, 10, rng))
         np.testing.assert_allclose(adj.values.value.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(adj.values.value > 0)
 
     def test_generically_asymmetric(self, rng):
-        adj = adjacency_softmax(NodeEmbeddings(5, 10, rng)).values.value
+        adj = adjacency_softmax(*random_embeddings(5, 10, rng)).values.value
         assert not np.allclose(adj, adj.T)
 
     def test_constant_column_shift_invariance(self, rng):
         e1 = rng.normal(size=(4, 4))
         e2 = rng.normal(size=(4, 4))
-        base = adjacency_softmax(embeddings_from(e1, e2)).values.value
+        base = adjacency_softmax(*embeddings_from(e1, e2)).values.value
         # softmax is invariant to adding a constant to a whole row of the
         # logits; shift one row of E1 along v with E2 @ v = const.
         v = np.linalg.solve(e2, np.full(4, 2.5))
         e1_shift = e1.copy()
         e1_shift[2] += v
-        shifted = adjacency_softmax(embeddings_from(e1_shift, e2)).values.value
+        shifted = adjacency_softmax(*embeddings_from(e1_shift, e2)).values.value
         np.testing.assert_allclose(shifted[2], base[2], atol=1e-9)
 
     def test_gradients_flow_to_embeddings(self, rng):
-        emb = NodeEmbeddings(3, 4, rng)
-        adj = adjacency_softmax(emb)
+        e1, e2 = random_embeddings(3, 4, rng)
+        adj = adjacency_softmax(e1, e2)
         ad.backward(ad.total(ad.multiply(adj.values, Variable(rng.normal(size=(3, 3)), requires_grad=False))))
-        assert emb.e1.grad is not None and np.any(emb.e1.grad != 0)
-        assert emb.e2.grad is not None and np.any(emb.e2.grad != 0)
+        assert e1.grad is not None and np.any(e1.grad != 0)
+        assert e2.grad is not None and np.any(e2.grad != 0)
 
 
 def identity_adj(n):
@@ -83,13 +84,13 @@ class TestGcnForward:
         np.testing.assert_allclose(out.value, expected)
 
     def test_embedding_gradients_through_adjacency(self, rng):
-        emb = NodeEmbeddings(4, 3, rng)
-        adj = adjacency_softmax(emb)
+        e1, e2 = random_embeddings(4, 3, rng)
+        adj = adjacency_softmax(e1, e2)
         x = Variable(rng.normal(size=(3, 5, 2, 4)))
         out = gcn_forward(x, adj, Variable(rng.normal(size=(3, 3))), Variable(np.zeros(3)))
         ad.backward(ad.mse_loss(out, np.zeros(out.value.shape)))
-        assert np.any(emb.e1.grad != 0)
-        assert np.any(emb.e2.grad != 0)
+        assert np.any(e1.grad != 0)
+        assert np.any(e2.grad != 0)
 
     def test_node_mismatch(self, rng):
         with pytest.raises(ShapeMismatchError):
@@ -108,11 +109,11 @@ class TestGcnForward:
         x = rng.normal(size=(2, 6, 1, n))
         perm = np.array([2, 0, 1])
         out = gcn_forward(
-            Variable(x), adjacency_softmax(embeddings_from(e1, e2)), Variable(theta), Variable(np.zeros(2))
+            Variable(x), adjacency_softmax(*embeddings_from(e1, e2)), Variable(theta), Variable(np.zeros(2))
         ).value
         out_p = gcn_forward(
             Variable(x[..., perm]),
-            adjacency_softmax(embeddings_from(e1[perm], e2[perm])),
+            adjacency_softmax(*embeddings_from(e1[perm], e2[perm])),
             Variable(theta),
             Variable(np.zeros(2)),
         ).value
@@ -124,16 +125,16 @@ class TestGcnForward:
         x_val = rng.normal(size=(3, 5, 2, 4))
         w_val = rng.normal(size=(2, 5, 2, 4))
         theta_val, bias_val = rng.normal(size=(2, 3)), rng.normal(size=2)
-        emb = NodeEmbeddings(4, 3, rng)
+        e1, e2 = random_embeddings(4, 3, rng)
         to_bm = batch_major.from_time_major
         results = []
         for gcn, x_in, w in ((gcn_forward, x_val, w_val),
                              (batch_major.gcn_forward, to_bm(x_val), to_bm(w_val))):
-            emb.e1.grad = emb.e2.grad = None
+            e1.grad = e2.grad = None
             x, theta, bias = Variable(x_in), Variable(theta_val), Variable(bias_val)
-            out = gcn(x, adjacency_softmax(emb), theta, bias)
+            out = gcn(x, adjacency_softmax(e1, e2), theta, bias)
             ad.backward(ad.total(ad.multiply(out, Variable(w, requires_grad=False))))
-            results.append([out.value, x.grad, theta.grad, bias.grad, emb.e1.grad, emb.e2.grad])
+            results.append([out.value, x.grad, theta.grad, bias.grad, e1.grad, e2.grad])
         results[0][:2] = [to_bm(a) for a in results[0][:2]]
         for got, want in zip(*results):
             assert np.abs(got - want).max() <= 1e-12
@@ -141,9 +142,8 @@ class TestGcnForward:
 
 class TestExportAdjacency:
     def test_round_trip_and_headers(self, tmp_path, rng):
-        emb = NodeEmbeddings(5, 10, rng)
         names = ["Esbjerg", "Aalborg", "Aarhus", "Odense", "Roskilde"]
-        adj = adjacency_softmax(emb, names)
+        adj = adjacency_softmax(*random_embeddings(5, 10, rng), names)
         path = tmp_path / "adj.csv"
         export_adjacency(adj, path)
         with open(path, newline="") as fh:

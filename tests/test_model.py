@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import sys
 import warnings
 import weakref
@@ -22,7 +23,7 @@ from mswavenet.model import (
     ConfigError,
     ModelConfig,
     Network,
-    _TcnSubunit,
+    _union_lags,
     receptive_field,
 )
 from mswavenet.training import AdamOptimizer
@@ -182,36 +183,88 @@ class TestReceptiveField:
         np.testing.assert_array_equal(net.temporal_stack(x_out).value[0, :, :, -1], base)
 
 
+def _unit(net, i, name):
+    """Block i's TCN unit called name (tcn_a or tcn_b), from ``net.params``, as
+    ``compose_causal_kernel`` takes it: (reduce weight, reduce bias,
+    [(branch kernel, dilation), ...])."""
+    p, prefix = net.params, f"block{i}.{name}"
+    kernels = [(p[f"{prefix}.branch{j}.kernel"], d)
+               for j, (_k, d) in enumerate(net.config.branch_specs[i])]
+    return p[f"{prefix}.reduce.weight"], p[f"{prefix}.reduce.bias"], kernels
+
+
 def _tcn(unit, x):
-    """One TCN subunit's output: its composed kernel as a causal convolution."""
-    kernel, bias = ad.compose_causal_kernel([unit.composition()], unit.lags)
-    return ad.conv_time_causal(x, kernel, unit.lags, bias)
+    """One TCN unit's output: its composed kernel as a causal convolution."""
+    lags = _union_lags([(kern.value.shape[2], d) for kern, d in unit[2]])
+    kernel, bias = ad.compose_causal_kernel([unit], lags)
+    return ad.conv_time_causal(x, kernel, lags, bias)
 
 
-class TestTcnSubunit:
+class TestTcnUnit:
     def test_identity_passthrough(self):
         # single K=1 branch with identity kernel and identity reduce
-        unit = _TcnSubunit("t", 2, [(1, 1)], np.random.default_rng(0))
-        unit.kernels[0] = (unit.kernels[0][0], Variable(np.eye(2).reshape(2, 2, 1)))
-        unit.reduce_w = Variable(np.eye(2))
-        unit.reduce_b = Variable(np.zeros(2))
+        unit = (Variable(np.eye(2)), Variable(np.zeros(2)), [(Variable(np.eye(2).reshape(2, 2, 1)), 1)])
         x = np.random.default_rng(1).normal(size=(2, 5, 2, 3))  # [C, W, B, N]
         np.testing.assert_allclose(_tcn(unit, Variable(x)).value, x)
 
     def test_output_width_preserved(self, rng):
-        unit = _TcnSubunit("t", 3, [(2, 1), (3, 2), (6, 3)], np.random.default_rng(0))
+        branches = [(Variable(rng.normal(size=(3, 3, k))), d) for k, d in [(2, 1), (3, 2), (6, 3)]]
+        unit = (Variable(rng.normal(size=(3, 9))), Variable(np.zeros(3)), branches)
         out = _tcn(unit, Variable(rng.normal(size=(3, 20, 2, 4))))
         assert out.value.shape == (3, 20, 2, 4)
 
-    def test_branch_count_in_parameters(self):
-        unit = _TcnSubunit("t", 3, [(2, 1), (3, 2), (6, 3)], np.random.default_rng(0))
-        names = [n for n, _ in unit.parameters()]
+    def test_branch_names_and_shapes(self):
+        net = Network(small_config(residual_channels=3), seed=0)
+        names = [n for n in net.params if n.startswith("block0.tcn_a.")]
         assert names == [
-            "t.branch0.kernel", "t.branch1.kernel", "t.branch2.kernel",
-            "t.reduce.weight", "t.reduce.bias",
+            "block0.tcn_a.branch0.kernel", "block0.tcn_a.branch1.kernel",
+            "block0.tcn_a.branch2.kernel", "block0.tcn_a.reduce.weight", "block0.tcn_a.reduce.bias",
+        ]
+        reduce_w, reduce_b, kernels = _unit(net, 0, "tcn_a")
+        assert [(kern.value.shape, d) for kern, d in kernels] == [
+            ((3, 3, 2), 1), ((3, 3, 3), 2), ((3, 3, 6), 3)
         ]
         # reduce maps concat (3 branches x 3 channels) back to 3 channels
-        assert dict(unit.parameters())["t.reduce.weight"].value.shape == (3, 9)
+        assert (reduce_w.value.shape, reduce_b.value.shape) == ((3, 9), (3,))
+
+
+def _drawn_names(config):
+    """The parameter names in the order their values are drawn."""
+    names = ["input_proj.weight", "input_proj.bias", "adjacency.e1", "adjacency.e2"]
+    for i, branches in enumerate(config.branch_specs):
+        for unit in ("tcn_a", "tcn_b"):
+            names += [f"block{i}.{unit}.branch{j}.kernel" for j in range(len(branches))]
+            names += [f"block{i}.{unit}.reduce.weight", f"block{i}.{unit}.reduce.bias"]
+        names += [f"block{i}.skip.weight", f"block{i}.skip.bias",
+                  f"block{i}.gcn.theta", f"block{i}.gcn.bias"]
+    return names + [f"head.{layer}.{kind}" for layer in ("conv1", "conv2", "dense")
+                    for kind in ("weight", "bias")]
+
+
+# SHA-256 over the sorted state_dict, each name's bytes then its array's,
+# recorded before the parameters moved into one store
+_INIT_SHA256 = {
+    (MULTI_SCALE, 0): "26eff424ed8066a48c03448361c9635ac968c5040b4e2af4bc83559264a9800c",
+    (MULTI_SCALE, 7): "edb6dc296eecaaa4c726a244cffbbbb86d87cbf84025d120d8dbac7712b83981",
+    (SINGLE_SCALE, 0): "9bcb0064402960689c303f9bed1c2527339f7dfb4e2dfe42b2e97f4be333c1a4",
+    (SINGLE_SCALE, 7): "7dcfedfc33236a263ff846df1c1a85abc40cba49f0b15e6811038418a1736133",
+}
+
+
+class TestInitialisation:
+    @pytest.mark.parametrize("variant, seed", list(_INIT_SHA256))
+    def test_paper_initialisation_is_pinned(self, variant, seed):
+        """A seed's parameters keep their names, order and bits: moving one
+        random draw changes the hash, and so every checkpoint trained from
+        that seed."""
+        net = Network(ModelConfig(variant=variant), seed=seed)
+        assert [n for n, _ in net.parameters()] == _drawn_names(net.config)
+        state = net.state_dict()
+        digest = hashlib.sha256()
+        for name in sorted(state):
+            digest.update(name.encode())
+            digest.update(state[name].tobytes())
+        assert digest.hexdigest() == _INIT_SHA256[variant, seed]
 
 
 class TestNetworkForward:
@@ -294,22 +347,23 @@ class TestNetworkForward:
         net = Network(small_config(), seed=0)
         x = Variable(10.0 * rng.normal(size=(4, 16, 1, 3)), requires_grad=False)  # [D, W, B, N]
         adj = net.adjacency()
-        h = ad.conv_1x1(x, net.input_w, net.input_b)
-        block = net.blocks[0]
+        h = ad.conv_1x1(x, net.params["input_proj.weight"], net.params["input_proj.bias"])
         gated = ad.multiply(
-            ad.tanh(_tcn(block.tcn_a, h)), ad.sigmoid(_tcn(block.tcn_b, h))
+            ad.tanh(_tcn(_unit(net, 0, "tcn_a"), h)), ad.sigmoid(_tcn(_unit(net, 0, "tcn_b"), h))
         )
         assert np.all(np.abs(gated.value) < 1.0)
 
     def test_pure_residual_with_zero_gcn(self, rng):
-        """Zeroing a block's GCN weights makes it the identity on h."""
+        """Zeroing a block's GCN weights makes it the identity on its
+        input: a one-block stack outputs input_proj's output."""
         net = Network(small_config(num_blocks=1), seed=0)
-        block = net.blocks[0]
-        block.gcn_theta.value[:] = 0.0
-        block.gcn_bias.value[:] = 0.0
-        h = Variable(rng.normal(size=(4, 16, 2, 3)), requires_grad=False)  # [C, W, B, N]
-        out, _tap = block.forward(h, h, net.adjacency(), block.weights(block.compose_gate()))
-        np.testing.assert_array_equal(out.value, h.value)
+        net.params["block0.gcn.theta"].value[:] = 0.0
+        net.params["block0.gcn.bias"].value[:] = 0.0
+        x = rng.normal(size=(2, 4, 3, 16))
+        h = ad.conv_1x1(ad.permute(Variable(x), TIME_MAJOR),
+                        net.params["input_proj.weight"], net.params["input_proj.bias"])
+        out = net.temporal_stack(x)
+        np.testing.assert_array_equal(out.value, ad.permute(h, BATCH_MAJOR).value)
 
 
 class TestGradientCoverage:
@@ -403,31 +457,32 @@ class TestStateDict:
 
 
 def _reference_tcn(unit, x):
-    """A TCN subunit as separate ops: branches -> concat -> 1x1 reduce."""
-    outs = [
-        ad.conv_time_dilated_causal(x, kern, d)
-        for (_name, kern), (_k, d) in zip(unit.kernels, unit.branches)
-    ]
+    """A TCN unit as separate ops: branches -> concat -> 1x1 reduce."""
+    reduce_w, reduce_b, kernels = unit
+    outs = [ad.conv_time_dilated_causal(x, kern, d) for kern, d in kernels]
     cat = outs[0] if len(outs) == 1 else ad.concat_channels(outs)
-    return ad.conv_1x1(cat, unit.reduce_w, unit.reduce_b)
+    return ad.conv_1x1(cat, reduce_w, reduce_b)
 
 
 def _reference_forward(net, x):
     """Network.forward built op by op, without the composed gate-pair conv."""
+    p = net.params
     adj = net.adjacency()
     x = ad.permute(Variable(x, requires_grad=False), TIME_MAJOR)
-    h = ad.conv_1x1(x, net.input_w, net.input_b)
+    h = ad.conv_1x1(x, p["input_proj.weight"], p["input_proj.bias"])
     skip_sum = None
-    for block in net.blocks:
+    for i in range(net.config.num_blocks):
+        b = f"block{i}"
         gated = ad.multiply(
-            ad.tanh(_reference_tcn(block.tcn_a, h)), ad.sigmoid(_reference_tcn(block.tcn_b, h))
+            ad.tanh(_reference_tcn(_unit(net, i, "tcn_a"), h)),
+            ad.sigmoid(_reference_tcn(_unit(net, i, "tcn_b"), h)),
         )
-        tap = ad.conv_1x1(gated, block.skip_w, block.skip_b)
-        h = ad.add(graph.gcn_forward(gated, adj, block.gcn_theta, block.gcn_bias), h)
+        tap = ad.conv_1x1(gated, p[f"{b}.skip.weight"], p[f"{b}.skip.bias"])
+        h = ad.add(graph.gcn_forward(gated, adj, p[f"{b}.gcn.theta"], p[f"{b}.gcn.bias"]), h)
         skip_sum = tap if skip_sum is None else ad.add(skip_sum, tap)
-    out = ad.conv_1x1(ad.relu(skip_sum), net.head1_w, net.head1_b)
-    out = ad.conv_1x1(ad.relu(out), net.head2_w, net.head2_b)
-    return ad.dense(ad.flatten(ad.permute(out, BATCH_MAJOR)), net.dense_w, net.dense_b)
+    out = ad.conv_1x1(ad.relu(skip_sum), p["head.conv1.weight"], p["head.conv1.bias"])
+    out = ad.conv_1x1(ad.relu(out), p["head.conv2.weight"], p["head.conv2.bias"])
+    return ad.dense(ad.flatten(ad.permute(out, BATCH_MAJOR)), p["head.dense.weight"], p["head.dense.bias"])
 
 
 CRITERION_5_SIZE = dict(
@@ -618,7 +673,7 @@ def _fresh_copy(net):
 def _stored(net):
     """Every array the network's caches hold: each block's gate kernels
     (block 0's with input_proj folded in) and the head's."""
-    return [v for cache in [b.gate for b in net.blocks] + [net.head] for v in cache.values]
+    return [v for cache in net.gates + [net.head] for v in cache.values]
 
 
 def _forecast(net, x, record):
@@ -640,33 +695,34 @@ def _load_state_dict(net, x):
 
 
 def _assign_value(net, x):
-    unit = net.blocks[2].tcn_a
-    unit.reduce_w.value = unit.reduce_w.value + 0.01
+    p = net.params["block2.tcn_a.reduce.weight"]
+    p.value = p.value + 0.01
 
 
 def _edit_branch_kernel(net, x):
-    net.blocks[0].tcn_a.kernels[-1][1].value[0, 0, 0] += 0.01
+    net.params["block0.tcn_a.branch2.kernel"].value[0, 0, 0] += 0.01
 
 
 def _edit_reduce_bias(net, x):
-    net.blocks[3].tcn_b.reduce_b.value[1] = 0.5
+    net.params["block3.tcn_b.reduce.bias"].value[1] = 0.5
 
 
 def _replace_variable(net, x):
-    unit = net.blocks[1].tcn_a
-    unit.reduce_b = Variable(unit.reduce_b.value + 0.01)
+    name = "block1.tcn_a.reduce.bias"
+    net.params[name] = Variable(net.params[name].value + 0.01)
 
 
 def _edit_input_proj(net, x):
-    net.input_w.value[2, 1] += 0.01
+    net.params["input_proj.weight"].value[2, 1] += 0.01
 
 
 def _assign_head_conv2_bias(net, x):
-    net.head2_b.value = net.head2_b.value + 0.01
+    p = net.params["head.conv2.bias"]
+    p.value = p.value + 0.01
 
 
 def _edit_dense_weight(net, x):
-    net.dense_w.value[1, 7] += 0.5
+    net.params["head.dense.weight"].value[1, 7] += 0.5
 
 
 _CHANGES = {

@@ -16,6 +16,7 @@ from mswavenet.model import SINGLE_SCALE, ModelConfig, Network
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 RUN = ROOT / "perfbench" / "run.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 MODULES = (autodiff, data, graph, model, pipeline, synthetic, training)
 CLASSES = [
     value for module in MODULES for value in vars(module).values()
@@ -23,16 +24,29 @@ CLASSES = [
 ]
 
 
-def _module(path, name):
+def _module(path, name, imports=()):
     """A perfbench module, compiled from its source text, so no bytecode
-    cache is written beside it."""
+    cache is written beside it. While it runs, sys.modules holds it (its
+    dataclasses look it up) and the (name, module) pairs of imports."""
     module = types.ModuleType(name)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    named = {name: module, **dict(imports)}
+    sys.modules.update(named)
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:  # only these: a package module the source imported stays imported
+        for key in named:
+            del sys.modules[key]
     return module
 
 
 def _tracing():
     return _module(TRACING, "perfbench_tracing")
+
+
+def _workloads():
+    """perfbench/workloads.py, which imports tracing.py as a top-level
+    module, as perfbench/run.py runs it."""
+    return _module(WORKLOADS, "perfbench_workloads", [("tracing", _tracing())])
 
 
 def _owner_name(owner):
@@ -57,6 +71,18 @@ def test_traced_ops_exist_in_autodiff():
     names = set(tracing._OPS) | set(tracing._GEMM_FLOP)
     missing = sorted(n for n in names if not callable(getattr(autodiff, n, None)))
     assert not missing, f"perfbench/tracing.py traces ops autodiff no longer has: {missing}"
+
+
+@pytest.mark.parametrize("variant", [model.MULTI_SCALE, SINGLE_SCALE])
+def test_every_parameter_maps_to_a_reported_layer(variant):
+    """The tracer labels a parameter's ops with _layer_of_param(name), and
+    reports per-layer times only for workloads.LAYERS and the adjacency: a
+    parameter renamed out of those would silently zero its layer's
+    metrics."""
+    layer_of, reported = _tracing()._layer_of_param, {*_workloads().LAYERS, "graph.adjacency"}
+    names = [name for name, _ in Network(ModelConfig(variant=variant)).parameters()]
+    assert [n for n in names if layer_of(n) not in reported] == []
+    assert {layer_of(n) for n in names} == reported  # and every layer has a parameter
 
 
 def test_every_hook_installs_and_restores_by_identity():
