@@ -61,11 +61,12 @@ batch is large (``_LANE_MIN``), it runs rows [:B//2] and rows [B//2:]
 apart, each half with its own leaf copies of the Variables it reads, which
 share their arrays. Its backward walks each half's tape and adds the two
 gradients of each Variable, half 0 first. The split depends only on
-shapes. The two halves run at once, one in the caller and one on a single
-worker thread, when the process may run on 2 CPUs and numpy's OpenBLAS
-runs one thread (``blas_threads``), and one after the other otherwise.
-They share no array they write, so the lane count changes no bit. A forked
-child starts its own worker.
+shapes. The two halves run at once, one in the caller and one on the
+worker of a one-worker ``concurrent.futures`` executor, when the process
+may run on 2 CPUs and numpy's OpenBLAS runs one thread (``blas_threads``),
+and one after the other otherwise. They share no array they write, so the
+lane count changes no bit. Each process, a forked child too, starts its
+own executor when a batch first splits.
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ import functools
 import glob
 import math
 import os
-import queue
-import threading
 import warnings
 
 import numpy as np
@@ -354,29 +353,9 @@ def matmul(a, b) -> Variable:
 
 
 _LANE_MIN = 1 << 19  # elements of a batch's gate activation before it runs in halves (swept in CHANGES.md)
-_lane = None  # the task queue of the second lane's worker thread, started on first use
+_lane = None  # the second lane: a one-worker executor, started on first use
+_lane_pid = None  # the process that started _lane; a forked child has no worker and starts its own
 _halving = False  # whether batch_halves is running its halves, which never split again
-
-
-def _fresh_lane():
-    global _lane
-    _lane = None  # a forked child has no worker thread: it starts its own
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_fresh_lane)
-
-
-def _lane_worker(tasks):
-    while True:
-        task, reply = tasks.get()
-        try:
-            task()
-            outcome = None
-        except BaseException as error:  # raised again in the caller
-            outcome = error
-        del task  # the halves' arrays are the caller's to free once it has the reply
-        reply.put(outcome)
 
 
 @functools.cache
@@ -420,26 +399,30 @@ def _second_lane() -> bool:
 
 def _each_half(task):
     """task(0) and task(1), which share no array they write. With the
-    second lane (``_second_lane``), task(1) runs on the worker thread while
-    task(0) runs here (numpy releases the GIL in its GEMMs and ufuncs), and
-    this returns once both have finished, also when either raises; half 0's
+    second lane (``_second_lane``), task(1) runs on the worker of a
+    one-worker executor, which each process starts on first use, while
+    task(0) runs here (numpy releases the GIL in its GEMMs and ufuncs). This
+    returns once both have finished, also when either raises; half 0's
     exception wins. Otherwise they run here in turn."""
-    global _lane, _halving
+    global _lane, _lane_pid, _halving
     _halving = True
     try:
         if not _second_lane():
             task(0)
             task(1)
             return
-        if _lane is None:
-            _lane = queue.SimpleQueue()
-            threading.Thread(target=_lane_worker, args=(_lane,), name="autodiff-lane", daemon=True).start()
-        reply = queue.SimpleQueue()
-        _lane.put((functools.partial(task, 1), reply))
+        if _lane_pid != os.getpid():
+            # imported here, not at the top: it imports logging (about 0.6 MB
+            # of RSS), which a process whose batches never split does not need
+            from concurrent.futures import ThreadPoolExecutor
+
+            _lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="autodiff-lane")
+            _lane_pid = os.getpid()
+        second = _lane.submit(task, 1)
         try:
             task(0)
         finally:
-            error = reply.get()  # the second lane has finished
+            error = second.exception()  # the second lane has finished
         if error is not None:
             raise error
     finally:

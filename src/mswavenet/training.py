@@ -382,22 +382,23 @@ def train(
     for epoch in range(1, epochs + 1):
         epoch_sq = 0.0
         epoch_n = 0
-        for xb, tb in batch_iter(norm_train_ds, batch_size, shuffle=True, seed=seed + epoch):
-            net.zero_grad()
-            loss = ad.mse_loss(net.forward(xb), tb)
-            if not np.isfinite(loss.value):
-                raise TrainingError(
-                    f"training diverged at epoch {epoch}: loss {loss.value}"
-                )
-            ad.backward(loss)
-            optimizer.step()
-            epoch_sq += float(loss.value) * tb.size
-            epoch_n += tb.size
-        train_loss = epoch_sq / epoch_n
-        if val_targets is not None:
-            val_loss = _eval_loss(net, val_ds.inputs, val_targets)
-        else:
-            val_loss = train_loss
+        try:  # either forward's softmax_rows raises FloatingPointError once the embeddings diverge
+            for xb, tb in batch_iter(norm_train_ds, batch_size, shuffle=True, seed=seed + epoch):
+                net.zero_grad()
+                loss = ad.mse_loss(net.forward(xb), tb)
+                if not np.isfinite(loss.value):
+                    raise TrainingError(f"training diverged at epoch {epoch}: loss {loss.value}")
+                ad.backward(loss)
+                optimizer.step()
+                epoch_sq += float(loss.value) * tb.size
+                epoch_n += tb.size
+            train_loss = epoch_sq / epoch_n
+            if val_targets is not None:
+                val_loss = _eval_loss(net, val_ds.inputs, val_targets)
+            else:
+                val_loss = train_loss
+        except FloatingPointError as exc:
+            raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
         if not math.isfinite(val_loss):
             raise TrainingError(f"validation loss {val_loss} at epoch {epoch}")
         state["epoch"] = epoch

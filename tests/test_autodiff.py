@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import re
 import threading
 import time
@@ -580,6 +581,14 @@ def _halves(x_val, w_val, b_val):
     return [out.value, x.grad, w.grad, b.grad]
 
 
+def _halves_in_child(*values):
+    """_halves in a forked child, with the child's pid, the pid that
+    started its lane and the count of its lane threads."""
+    out = _halves(*values)
+    threads = sum(t.name.startswith("autodiff-lane") for t in threading.enumerate())
+    return out, os.getpid(), ad._lane_pid, threads
+
+
 class TestBatchHalves:
     """The halves op's two lanes: they wait for each other, keep nothing
     alive, start afresh in a forked child, and a half reads only its
@@ -638,15 +647,17 @@ class TestBatchHalves:
 
     def test_forked_child_starts_its_own_lane(self):
         """A child forked after a two-lane halves op runs the same op to
-        the same bits; a child that inherited the parent's worker would
-        hang, and the timeout fails the test instead."""
+        the same bits on one lane thread of its own, which it started; a
+        child that inherited the parent's worker would hang, and the
+        timeout fails the test instead."""
         rng = np.random.default_rng(0)
         values = (rng.normal(size=(64, 300)), rng.normal(size=(300, 40)), rng.normal(size=40))
         want = _halves(*values)
-        assert ad._lane is not None
+        assert ad._lane is not None and ad._lane_pid == os.getpid()
         with multiprocessing.get_context("fork").Pool(1) as pool:  # terminated on exit
-            got = pool.apply_async(_halves, values).get(timeout=60)
+            got, child, lane_pid, threads = pool.apply_async(_halves_in_child, values).get(timeout=60)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert child != os.getpid() and lane_pid == child and threads == 1
 
     def test_a_half_reads_only_its_copies(self):
         """A run that reads a Variable with requires_grad it was not given

@@ -1,9 +1,14 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,6 +524,19 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match="validation loss nan at epoch 1"):
             train(net, ds, val, scaler, tmp_path / "ck.bin", epochs=4, batch_size=16, seed=0)
 
+    @pytest.mark.parametrize("batch_size", [16, 64])
+    def test_diverging_forward_names_epoch(self, tmp_path, rng, batch_size):
+        """A huge lr makes the adjacency's embeddings non-finite after the
+        first Adam step, so the next forward's softmax_rows raises: the
+        step forward with two batches per epoch, validation's forward with
+        one (31 windows)."""
+        ds, scaler = tiny_dataset(rng)
+        net = Network(tiny_config(num_blocks=2, branch_specs=[[(2, 1)], [(2, 1)]]), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the diverged GEMMs
+            with pytest.raises(TrainingError, match="diverged at epoch 1: softmax_rows requires finite input"):
+                train(net, ds, ds, scaler, tmp_path / "ck.bin", lr=1e300, epochs=3, batch_size=batch_size)
+
     def test_determinism(self, tmp_path, rng):
         ds, scaler = tiny_dataset(rng)
 
@@ -760,7 +778,50 @@ def one_blas_thread():
         ad.blas_threads(before)
 
 
+_LIFECYCLE = """
+import json, sys, threading
+import numpy as np
+from mswavenet import autodiff as ad
+from mswavenet.model import ModelConfig, Network
+from mswavenet.training import forecast
+
+seen = {}  # every lane thread alive after a step, kept so that no id is reused
+
+def lane_threads():
+    lanes = [t for t in threading.enumerate() if t.name.startswith("autodiff-lane")]
+    seen.update((id(t), t) for t in lanes)
+    return len(lanes)
+
+def step(net):
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(64, 4, 5, net.config.window))
+    ad.backward(ad.mse_loss(net.forward(x), rng.normal(size=(64, len(net.config.target_nodes)))))
+
+small, paper = Network(ModelConfig(**json.loads(sys.argv[1])), seed=0), Network(ModelConfig(), seed=0)
+step(small)
+forecast(paper, np.zeros((64, 4, 5, 48)))
+paper.forward(np.zeros((1, 4, 5, 48)))
+counts = [lane_threads(), "concurrent.futures" in sys.modules]
+for _ in range(4):
+    step(paper)
+    counts.append(lane_threads())
+print(json.dumps(counts + [len(seen)]))
+"""
+
+
 class TestTwoLanes:
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="two lanes need at least 2 CPUs")
+    def test_lane_lifecycle(self):
+        """In a fresh process at one BLAS thread, a criterion-5-size step, a
+        no_grad forecast and a recorded batch-1 forecast start no lane
+        thread and import no concurrent.futures; the first paper-size B=64
+        step starts one lane thread, and the next three reuse that thread."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+        out = subprocess.run([sys.executable, "-c", _LIFECYCLE, json.dumps(SIZES["criterion_5"])],
+                             env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == [0, False, 1, 1, 1, 1, 1]
+
     @pytest.mark.parametrize("variant", [MULTI_SCALE, SINGLE_SCALE])
     @pytest.mark.parametrize("size", list(SIZES))
     def test_bitwise_one_lane(self, tmp_path, monkeypatch, one_blas_thread, size, variant):
