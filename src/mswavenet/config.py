@@ -177,16 +177,9 @@ class RunConfig:
         errors = [f"{k}: {why}" for k in sorted(v) if (why := _type_problem(k, v[k]))]
         if errors:
             raise ConfigError("\n".join(errors))
-        if v["train.lr"] <= 0:
-            errors.append("train.lr must be positive")
-        if v["train.epochs"] < 1:
-            errors.append("train.epochs must be >= 1")
-        if v["train.batch_size"] < 1:
-            errors.append("train.batch_size must be >= 1")
-        if not 0 < v["train.factor"] < 1:
-            errors.append("train.factor must lie in (0, 1)")
-        if v["train.patience"] < 1:
-            errors.append("train.patience must be >= 1")
+        from .training import check_recipe  # each train.<arg> key sets its argument
+        recipe = {k[len("train."):]: x for k, x in v.items() if k.startswith("train.")}
+        _check(lambda: check_recipe(**recipe), lambda f: f"train.{f}", errors)
         if v["data.max_gap_hours"] < 0:
             errors.append("data.max_gap_hours must be >= 0")
         for key in ("split.train_years", "split.val_years", "split.test_years"):

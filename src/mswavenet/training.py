@@ -8,6 +8,7 @@ de-normalize predictions back to m/s first. Every forecast without a tape
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import json
 import math
@@ -85,8 +86,7 @@ class Checkpoint:
         chunks.append(struct.pack("<I", len(trailer)))
         chunks.append(trailer)
         # write beside the target, then rename over it: a save that fails
-        # midway leaves the previous checkpoint (the best-model reload
-        # source during training) intact
+        # midway leaves the previous checkpoint intact
         path = os.fspath(path)
         tmp = f"{path}.tmp"
         try:
@@ -193,16 +193,15 @@ class Checkpoint:
 
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decay rates, denominator guard
+
 
 class AdamOptimizer:
     """Standard Adam with bias correction."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, lr=0.001):
         self.params = list(params)  # (name, Variable)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.m = {name: np.zeros_like(p.value) for name, p in self.params}
         self.v = {name: np.zeros_like(p.value) for name, p in self.params}
@@ -218,13 +217,13 @@ class AdamOptimizer:
                 raise TrainingError(f"non-finite gradient in parameter {name!r}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1**t)
+            v_hat = v / (1 - ADAM_BETA2**t)
+            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 class PlateauScheduler:
@@ -328,6 +327,19 @@ def _eval_loss(net: Network, inputs, norm_targets) -> float:
     return total_sq / norm_targets.size
 
 
+def check_recipe(lr, epochs, batch_size, factor, patience) -> None:
+    """Raise ConfigError naming the first recipe setting train() cannot use."""
+    for key, value, ok, want in (
+        ("lr", lr, finite_number(lr) and lr > 0, "a positive finite number"),
+        ("epochs", epochs, int_at_least(epochs, 1), "an int >= 1"),
+        ("batch_size", batch_size, int_at_least(batch_size, 1), "an int >= 1"),
+        ("factor", factor, finite_number(factor) and 0 < factor < 1, "a number in (0, 1)"),
+        ("patience", patience, int_at_least(patience, 1), "an int >= 1"),
+    ):
+        if not ok:
+            raise ConfigError(f"must be {want}, got {value!r}", key)
+
+
 def train(
     net: Network,
     train_ds: DatasetTensor,
@@ -343,7 +355,9 @@ def train(
     log_fn=None,
     run_config: dict = None,
 ) -> TrainResult:
-    """Run the full recipe and return the best-validation checkpoint."""
+    """Run the full recipe and return the best-validation checkpoint: the copy
+    kept when it was saved to checkpoint_path, whose weights every cut restores."""
+    check_recipe(lr, epochs, batch_size, factor, patience)
     if len(train_ds) == 0:
         raise TrainingError("training split is empty")
     set_malloc_policy()
@@ -353,28 +367,23 @@ def train(
     )
     val_targets = scaler.normalize_wind_speed(val_ds.targets, val_ds.target_nodes) if len(val_ds) else None
 
-    def make_checkpoint(epoch, val_loss):
-        return Checkpoint(
+    best = None
+
+    def save_best():  # reads the loop's epoch and val_loss
+        nonlocal best
+        best = Checkpoint(
             params=net.state_dict(),
             config=net.config.to_dict(),
             scaler=scaler.state(),
             seed=net.seed,
             epoch=epoch,
             val_loss=val_loss,
-            run_config=run_config,
-            node_order=net.node_order,
+            run_config=copy.deepcopy(run_config),
+            node_order=list(net.node_order),
         )
-
-    state = {"epoch": 0, "val_loss": math.inf}
-
-    def save_best():
-        make_checkpoint(state["epoch"], state["val_loss"]).save(checkpoint_path)
+        best.save(checkpoint_path)
 
     def restore_best():
-        try:
-            best = Checkpoint.load(checkpoint_path)
-        except (OSError, CheckpointError) as exc:
-            raise TrainingError(f"best checkpoint unavailable for reload: {exc}") from exc
         net.load_state_dict(best.params)
 
     scheduler = PlateauScheduler(optimizer, save_best, restore_best, factor, patience)
@@ -401,8 +410,6 @@ def train(
             raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
         if not math.isfinite(val_loss):
             raise TrainingError(f"validation loss {val_loss} at epoch {epoch}")
-        state["epoch"] = epoch
-        state["val_loss"] = val_loss
         events = scheduler.step(val_loss)
         row = {
             "epoch": epoch,
@@ -414,7 +421,6 @@ def train(
         log.append(row)
         if log_fn:
             log_fn(row)
-    best = Checkpoint.load(checkpoint_path)
     return TrainResult(checkpoint=best, log=log)
 
 

@@ -538,6 +538,11 @@ class TestConfigHandling:
         [
             ("train.lr=nan", "train.lr"),
             ("train.lr=inf", "train.lr"),
+            ("train.lr=0", "train.lr: must be a positive finite number"),
+            ("train.epochs=0", "train.epochs: must be an int >= 1"),
+            ("train.batch_size=-1", "train.batch_size: must be an int >= 1"),
+            ("train.factor=1", "train.factor: must be a number in (0, 1)"),
+            ("train.patience=0", "train.patience: must be an int >= 1"),
             ("synth.sigma=nan", "synth.sigma"),
             ("synth.rho=2", "synth.rho"),
             ("synth.sigma=-1", "synth.sigma"),

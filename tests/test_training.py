@@ -20,6 +20,7 @@ from conftest import backward_keeping_tape
 from mswavenet import autodiff as ad
 from mswavenet import training
 from mswavenet.autodiff import Variable
+from mswavenet.config import ConfigError
 from mswavenet.data import WIND_SPEED, MinMaxScaler, make_windows
 from mswavenet.model import MULTI_SCALE, SINGLE_SCALE, ModelConfig, Network
 from mswavenet.training import (
@@ -498,6 +499,81 @@ class TestTrainLoop:
         )
         best_logged = min(row["val_loss"] for row in res.log)
         assert res.checkpoint.val_loss == pytest.approx(best_logged)
+
+    def test_zero_epochs_do_not_return_an_earlier_runs_checkpoint(self, tmp_path, rng):
+        ds, scaler = tiny_dataset(rng)
+        path = tmp_path / "ck.bin"
+        train(Network(tiny_config(), seed=0), ds, ds, scaler, path, epochs=1, batch_size=16)
+        with pytest.raises(ConfigError, match=r"^epochs: must be an int >= 1, got 0$"):
+            train(Network(tiny_config(), seed=5), ds, ds, scaler, path, epochs=0, batch_size=16)
+
+    @pytest.mark.parametrize(
+        "setting, reason",
+        [
+            ({"lr": -1.0}, "must be a positive finite number, got -1.0"),
+            ({"lr": 0.0}, "must be a positive finite number, got 0.0"),
+            ({"factor": 1.5}, r"must be a number in \(0, 1\), got 1.5"),
+            ({"patience": 0}, "must be an int >= 1, got 0"),
+        ],
+    )
+    def test_bad_recipe_setting_named_before_training(self, tmp_path, rng, setting, reason):
+        ds, scaler = tiny_dataset(rng)
+        (key,) = setting
+        with pytest.raises(ConfigError, match=f"^{key}: {reason}$"):
+            train(Network(tiny_config(), seed=0), ds, ds, scaler, tmp_path / "ck.bin", epochs=2, **setting)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cut_restores_the_best_weights(self, tmp_path, rng):
+        """After every learning-rate cut the network holds, bitwise, the
+        weights of the last epoch that improved the validation loss."""
+        ds, scaler = tiny_dataset(rng)
+        net = Network(tiny_config(), seed=0)
+        snapshots = []
+        res = train(
+            net, ds, ds, scaler, tmp_path / "ck.bin", lr=0.05, epochs=8, batch_size=16, patience=1,
+            log_fn=lambda row: snapshots.append(net.state_dict()),
+        )
+        assert sum(row["reload"] for row in res.log) >= 2
+        best_loss, best = math.inf, None
+        for row, snapshot in zip(res.log, snapshots):
+            if row["val_loss"] < best_loss:
+                best_loss, best = row["val_loss"], snapshot
+            elif row["reload"]:
+                assert snapshot.keys() == best.keys()
+                for name in best:
+                    assert snapshot[name].tobytes() == best[name].tobytes(), name
+
+    def test_returns_the_checkpoint_it_saved_without_reading_it(self, tmp_path, rng, monkeypatch):
+        ds, scaler = tiny_dataset(rng)
+        net = Network(tiny_config(), seed=0, node_order=["west", "east"])
+        run_config = {"seed": 0, "nested": {"names": ["a"]}}
+        path = tmp_path / "ck.bin"
+
+        def no_load(cls, path):
+            raise AssertionError(f"train() read {path}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Checkpoint, "load", classmethod(no_load))
+            res = train(
+                net, ds, ds, scaler, path, lr=0.05, epochs=8, batch_size=16, patience=1,
+                run_config=run_config,
+            )
+        assert sum(row["reload"] for row in res.log) >= 2
+        back = Checkpoint.load(path)
+        kept = res.checkpoint
+        assert kept.params.keys() == back.params.keys()
+        for name in back.params:
+            assert kept.params[name].dtype == back.params[name].dtype
+            assert kept.params[name].tobytes() == back.params[name].tobytes(), name
+        for field in dataclasses.fields(Checkpoint):
+            if field.name != "params":
+                assert getattr(kept, field.name) == getattr(back, field.name), field.name
+        # the caller's dict and the network's station list stay theirs
+        run_config["seed"] = 9
+        run_config["nested"]["names"].append("b")
+        net.node_order[0] = "north"
+        assert kept.run_config == back.run_config == {"seed": 0, "nested": {"names": ["a"]}}
+        assert kept.node_order == back.node_order == ["west", "east"]
 
     def test_empty_train_split_rejected(self, tmp_path, rng):
         ds, scaler = tiny_dataset(rng)
